@@ -254,7 +254,7 @@ func (db *DB) Unload(name string) error {
 		e.appends, e.appendRows, e.appendBytes = 0, 0, 0
 	}
 	e.loaded, e.ds, e.err = false, nil, nil
-	e.custody = nil
+	e.gathered = source.Gathered{}
 	e.mu.Unlock()
 	// Always move the stats epoch, not just when appends folded: a cached
 	// plan pins the unloaded dataset by reference, so without a new epoch

@@ -63,6 +63,7 @@ import (
 	"sync/atomic"
 
 	"cleandb/internal/core"
+	"cleandb/internal/data"
 	"cleandb/internal/engine"
 	"cleandb/internal/incr"
 	"cleandb/internal/physical"
@@ -288,10 +289,10 @@ type sourceEntry struct {
 	appendRows  int64
 	appendBytes int64
 	memRows     int64
-	// custody, when non-nil, records what this member parsed from disk under
-	// a partition-custody scan (custody.go); nil for replicated loads, where
-	// owned equals total.
-	custody *custodyLoad
+	// gathered is what the last scan received from peers instead of parsing
+	// (custody.go): zero unless the load was divided, so what this member owns
+	// is the loaded total minus it.
+	gathered source.Gathered
 }
 
 // load scans the source into a partitioned dataset exactly once. Scan
@@ -325,27 +326,42 @@ func (e *sourceEntry) load(goctx context.Context, ectx *engine.Context) (*engine
 	return ds, nil
 }
 
-// scan parses the source, columnar or row-wise per the entry's mode. Under a
-// cluster session whose exchange divides scans by partition custody, the
-// parse itself is split across the members (custody.go); the result is the
-// same full dataset either way.
+// scan parses the source, columnar or row-wise per the entry's mode, and
+// records what the load gathered from peers. Under a cluster session whose
+// exchange divides scans by partition custody this member parses only its
+// share of the chunks (custody.go); the result is the same full dataset
+// either way.
 func (e *sourceEntry) scan(goctx context.Context, ectx *engine.Context) (*engine.Dataset, error) {
-	if ds, ok, err := e.scanCustody(goctx, ectx); ok {
-		return ds, err
-	}
-	if !e.batch {
-		parts, err := e.src.Scan(goctx, ectx.Workers)
-		if err != nil {
-			return nil, err
+	var (
+		batches  []*data.ColumnBatch
+		rows     [][]types.Value
+		gathered source.Gathered
+		err      error
+	)
+	if ps, ex := e.custodyExchange(goctx); ex != nil {
+		// A divided load gathers rows; the gathered rows are identical on
+		// every member and RowsToBatches is deterministic from rows, so the
+		// batches (and their dictionary statistics) are too.
+		rows, gathered, err = source.ScanMasked(goctx, ps, ectx.Workers, ex, e.name)
+		if err == nil && e.batch {
+			batches, err = source.RowsToBatches(goctx, rows, ectx.Workers)
 		}
-		return engine.FromPartitions(ectx, parts), nil
+		if err != nil {
+			err = &custodyScanError{err}
+		}
+	} else if e.batch {
+		batches, rows, err = source.ScanIntoBatches(goctx, e.src, ectx.Workers)
+	} else {
+		rows, err = e.src.Scan(goctx, ectx.Workers)
 	}
-	batches, rows, err := source.ScanIntoBatches(goctx, e.src, ectx.Workers)
 	if err != nil {
 		return nil, err
 	}
+	e.mu.Lock()
+	e.gathered = gathered
+	e.mu.Unlock()
 	if batches == nil {
-		// Heterogeneous records cannot batch; the row form is the dataset.
+		// Row execution, or heterogeneous records that cannot batch.
 		return engine.FromPartitions(ectx, rows), nil
 	}
 	// All batches of one source share one dictionary; fold its interning
@@ -606,12 +622,13 @@ type SourceInfo struct {
 	// cluster coordinator cannot ship the source and must run such queries
 	// single-process.
 	MemRows int64
-	// OwnedPartitions / OwnedBytes report what this member parsed from disk
-	// for the load. Under a partition-custody scan a member builds only its
-	// owned (plus adopted) chunks and gathers the rest from peers, so Owned*
-	// is the member's share while Rows/Bytes/Partitions stay the totals of
-	// the complete gathered dataset. For replicated or single-process loads
-	// owned equals total.
+	// OwnedPartitions / OwnedBytes report what this member parsed itself:
+	// the loaded totals less whatever the last scan gathered from peers.
+	// Under a partition-custody scan a member builds only its owned (plus
+	// adopted) chunks, so Owned* is the member's share while
+	// Rows/Bytes/Partitions stay the totals of the complete dataset. Any load
+	// that built every chunk here — single-process, replicated, a Refresh
+	// re-scan — owns exactly the totals.
 	OwnedPartitions int
 	OwnedBytes      int64
 }
@@ -656,18 +673,15 @@ func (db *DB) SourceInfo(name string) (SourceInfo, error) {
 			info.Appends, info.AppendedRows = e.appends, e.appendRows
 			info.MemRows = e.memRows
 			appendBytes := e.appendBytes
-			custody := e.custody
+			gathered := e.gathered
 			e.mu.Unlock()
 			if t, ok := source.TailerOf(e.src); ok {
 				info.Bytes = t.Consumed() + appendBytes
 			} else if info.Bytes >= 0 {
 				info.Bytes += appendBytes
 			}
-			if custody != nil {
-				info.OwnedPartitions, info.OwnedBytes = custody.parts, custody.bytes
-			} else {
-				info.OwnedPartitions, info.OwnedBytes = info.Partitions, info.Bytes
-			}
+			info.OwnedPartitions = info.Partitions - gathered.Chunks
+			info.OwnedBytes = info.Bytes - gathered.Bytes
 		}
 	}
 	return info, nil

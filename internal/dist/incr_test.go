@@ -178,3 +178,38 @@ func TestClusterRefusesMemoryOnlyDelta(t *testing.T) {
 		t.Fatalf("fallback answered %d rows, want more than the file's %d", res.RowCount(), before)
 	}
 }
+
+// TestRefreshResetRestoresFullOwnership: a reset re-scan (the file was
+// rewritten, so Refresh re-parses all of it locally) replaces the share a
+// custody-divided load recorded — afterwards this member owns everything it
+// reports loaded.
+func TestRefreshResetRestoresFullOwnership(t *testing.T) {
+	path := writeItems(t)
+	c := newTestCluster(t, 2, map[string]string{"items": path})
+	ctx := context.Background()
+	if _, _, err := c.run(ctx, distItemsQuery); err != nil {
+		t.Fatal(err)
+	}
+	si, err := c.db.SourceInfo("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si.OwnedBytes <= 0 || si.OwnedBytes >= si.Bytes {
+		t.Fatalf("divided load: coordinator owns %d of %d bytes — not a strict share", si.OwnedBytes, si.Bytes)
+	}
+
+	if err := os.WriteFile(path, []byte("id,price\n1,10\n2,5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.db.Refresh(ctx, "items"); err != nil {
+		t.Fatal(err)
+	}
+	si, err = c.db.SourceInfo("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si.Rows != 2 || si.OwnedBytes != si.Bytes || si.OwnedPartitions != si.Partitions {
+		t.Fatalf("after reset re-scan: %d rows, owns %d/%d bytes, %d/%d partitions",
+			si.Rows, si.OwnedBytes, si.Bytes, si.OwnedPartitions, si.Partitions)
+	}
+}

@@ -3,8 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"cleandb/internal/par"
 	"cleandb/internal/types"
 )
 
@@ -75,45 +75,80 @@ func (c *Context) Fail(err error) {
 	c.failed.CompareAndSwap(nil, &failBox{err: err})
 }
 
-// maskedRun executes the n slot bodies of a wide stage and returns the full
-// slot-output vector. Without an exchange every slot runs locally on the
-// worker pool — the single-process path, unchanged. With an exchange, only
-// the slots in this node's mask run here; the exchange fills the rest from
-// peers and hands back reassigned slots when a peer dies.
+// RunMasked is the one driver of a masked stage: execute this node's slots
+// of [0,n) on at most width goroutines, then — when an exchange is present —
+// gather the rest from peers, re-executing whatever slots a dead peer's
+// barrier hands back. It returns the full slot-output vector and the slots
+// that ran here (mask plus adoptions). Without an exchange every slot is this
+// node's and no gather follows — the single-process path, with nothing
+// encoded or copied. Join slots, scan chunks and scan type votes all run
+// through it; they differ only in the stage name and the slot body.
 //
 // exec must be a pure, deterministic function of the (replicated) stage input
 // and the slot index: it runs on whichever node owns the slot, and may run
 // again on a survivor after a peer failure.
-func (c *Context) maskedRun(name string, n int, exec func(i int) []types.Value) ([][]types.Value, error) {
-	if c.exchange == nil || n == 0 {
-		out := make([][]types.Value, n)
-		c.runParallel(n, func(i int) { out[i] = exec(i) })
-		return out, c.Err()
+func RunMasked(ctx context.Context, ex Exchange, stage string, n, width int, exec func(i int) ([]types.Value, error)) (full [][]types.Value, ran []int, err error) {
+	full = make([][]types.Value, n)
+	if n == 0 { // an empty stage never reaches the exchange
+		return full, nil, ctx.Err()
 	}
-	stage := fmt.Sprintf("%03d/%s", c.stageSeq.Add(1), name)
-	mine := c.exchange.Mask(stage, n)
+	var mine []int
+	if ex != nil {
+		mine = ex.Mask(stage, n)
+	} else {
+		mine = make([]int, n)
+		for i := range mine {
+			mine[i] = i
+		}
+	}
 	for {
-		local := make(map[int][]types.Value, len(mine))
-		var mu sync.Mutex
-		slots := mine
-		c.runParallel(len(slots), func(k int) {
-			rows := exec(slots[k])
-			mu.Lock()
-			local[slots[k]] = rows
-			mu.Unlock()
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		err := par.Run(ctx, len(mine), width, func(k int) error {
+			rows, err := exec(mine[k])
+			full[mine[k]] = rows
+			return err
 		})
-		if err := c.Err(); err != nil {
-			return nil, err
-		}
-		full, extra, err := c.exchange.Gather(stage, n, local)
 		if err != nil {
-			c.Fail(err)
-			return nil, err
+			return nil, nil, err
 		}
-		if len(extra) > 0 {
-			mine = extra // a peer died: recompute its slots here and resubmit
-			continue
+		ran = append(ran, mine...)
+		if ex == nil {
+			return full, ran, nil
 		}
-		return full, nil
+		local := make(map[int][]types.Value, len(mine))
+		for _, i := range mine {
+			local[i] = full[i]
+		}
+		got, extra, err := ex.Gather(stage, n, local)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(extra) == 0 {
+			return got, ran, nil
+		}
+		mine = extra // a peer died: recompute its slots here and resubmit
 	}
+}
+
+// maskedRun runs the n slot bodies of a wide join stage through RunMasked on
+// the job's exchange, numbering the stage in plan order so every node derives
+// the same identifier.
+func (c *Context) maskedRun(name string, n int, exec func(i int) []types.Value) ([][]types.Value, error) {
+	goctx := c.goctx
+	if goctx == nil {
+		goctx = context.Background()
+	}
+	var stage string
+	if c.exchange != nil && n > 0 {
+		stage = fmt.Sprintf("%03d/%s", c.stageSeq.Add(1), name)
+	}
+	full, _, err := RunMasked(goctx, c.exchange, stage, n, c.Workers, func(i int) ([]types.Value, error) {
+		return exec(i), c.Err()
+	})
+	if err != nil {
+		c.Fail(err)
+	}
+	return full, err
 }

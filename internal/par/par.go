@@ -15,10 +15,13 @@ import (
 
 // Run executes f(0..n-1) on at most width goroutines, stopping at the first
 // error or at ctx cancellation (in which case it returns ctx.Err()). Every
-// started goroutine exits before it returns. The work is CPU-bound by
-// assumption, so the goroutine count is additionally capped at GOMAXPROCS —
-// the n callers ask for is honored regardless, but on a small machine extra
-// goroutines are pure scheduling overhead.
+// started goroutine exits before it returns. Indices are handed out in
+// order and every started call completes, so when several calls fail the
+// error returned is the lowest index's — the one a sequential loop would
+// have met first — whichever goroutine hit its error soonest. The work is
+// CPU-bound by assumption, so the goroutine count is additionally capped at
+// GOMAXPROCS — the n callers ask for is honored regardless, but on a small
+// machine extra goroutines are pure scheduling overhead.
 func Run(ctx context.Context, n, width int, f func(i int) error) error {
 	if n == 0 {
 		return ctx.Err()
@@ -44,7 +47,8 @@ func Run(ctx context.Context, n, width int, f func(i int) error) error {
 		wg       sync.WaitGroup
 		next     atomic.Int64
 		failed   atomic.Bool
-		errOnce  sync.Once
+		errMu    sync.Mutex
+		errAt    int
 		firstErr error
 	)
 	wg.Add(width)
@@ -57,7 +61,11 @@ func Run(ctx context.Context, n, width int, f func(i int) error) error {
 					return
 				}
 				if err := f(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
+					errMu.Lock()
+					if firstErr == nil || i < errAt {
+						errAt, firstErr = i, err
+					}
+					errMu.Unlock()
 					failed.Store(true)
 					return
 				}

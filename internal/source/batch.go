@@ -87,9 +87,6 @@ func RowsToBatches(ctx context.Context, parts [][]types.Value, width int) ([]*da
 // dictionaries into the per-source dictionary), then partitions are
 // zero-copy slices of the decoded columns — no transpose, no boxing.
 func (s *Colbin) ScanBatches(ctx context.Context, parts int) ([]*data.ColumnBatch, error) {
-	if parts < 1 {
-		parts = 1
-	}
 	info, err := s.index()
 	if err != nil {
 		return nil, err
@@ -113,9 +110,8 @@ func (s *Colbin) ScanBatches(ctx context.Context, parts int) ([]*data.ColumnBatc
 		return nil, err
 	}
 	full := &data.ColumnBatch{Schema: schema, Dict: dict, Cols: cols, N: info.Rows}
-	// Same row ranges as Scan, so both forms partition identically.
-	per := (info.Rows + parts - 1) / parts
-	nparts := (info.Rows + per - 1) / per
+	// The scan plan's row ranges, so both forms partition identically.
+	per, nparts := rowRanges(info.Rows, parts)
 	out := make([]*data.ColumnBatch, nparts)
 	for p := range out {
 		lo := p * per

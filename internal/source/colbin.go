@@ -7,9 +7,9 @@ import (
 	"cleandb/internal/types"
 )
 
-// Colbin is a colbin (binary columnar) source. Scan index-scans the header
-// once to locate each column chunk's byte extent, decodes the columns on
-// parallel goroutines, then assembles row ranges into partitions — also in
+// Colbin is a colbin (binary columnar) source. Its scan plan index-scans the
+// header once to locate each column chunk's byte extent, decodes the columns
+// on parallel goroutines, then assembles row ranges into partitions — also in
 // parallel. Its header stores the row count, so Stats is exact without a
 // scan, unlike any of the text formats.
 type Colbin struct {
@@ -66,56 +66,7 @@ func (s *Colbin) index() (*data.ColbinInfo, error) {
 	return data.IndexColbin(buf)
 }
 
-// Scan implements Source: column chunks decode concurrently, then row
-// ranges assemble concurrently, landing directly as ordered partitions.
+// Scan implements Source: the scan plan with every chunk built here.
 func (s *Colbin) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
-	if parts < 1 {
-		parts = 1
-	}
-	info, err := s.index()
-	if err != nil {
-		return nil, err
-	}
-	if info.Rows == 0 {
-		return nil, nil
-	}
-	ncols := len(info.Names)
-	cols := make([][]types.Value, ncols)
-	err = runParallel(ctx, ncols, parts, func(c int) error {
-		vals, err := info.DecodeColumn(c)
-		if err != nil {
-			return err
-		}
-		cols[c] = vals
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	schema := types.NewSchema(info.Names...)
-	per := (info.Rows + parts - 1) / parts
-	nparts := (info.Rows + per - 1) / per
-	out := make([][]types.Value, nparts)
-	err = runParallel(ctx, nparts, parts, func(p int) error {
-		lo := p * per
-		hi := lo + per
-		if hi > info.Rows {
-			hi = info.Rows
-		}
-		vals := make([]types.Value, hi-lo)
-		for i := lo; i < hi; i++ {
-			fields := make([]types.Value, ncols)
-			for c := range cols {
-				fields[c] = cols[c][i]
-			}
-			vals[i-lo] = types.NewRecord(schema, fields)
-		}
-		out[p] = vals
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return scanLocal(ctx, s, parts)
 }

@@ -13,10 +13,10 @@ import (
 	"cleandb/internal/types"
 )
 
-// CSV is a CSV source (header row, type-inferred columns). Its Scan splits
-// the body on row boundaries and parses the chunks on parallel goroutines;
-// only type inference — which needs every chunk's vote — runs between the
-// two parallel phases.
+// CSV is a CSV source (header row, type-inferred columns). Its scan plan
+// splits the body on row boundaries and parses the chunks on parallel
+// goroutines; only merging the chunks' column-type votes runs between the
+// vote round and the build round.
 //
 // A successful Scan also records tail state — the header, the inferred
 // column types with their voted flags, and the consumed byte offset — so
@@ -81,94 +81,9 @@ func (s *CSV) Stats() (Stats, error) {
 	return Stats{Rows: -1, Bytes: s.src.sizeBytes()}, nil
 }
 
-// Scan implements Source with a three-phase partition-parallel load:
-// chunk the body at row boundaries, parse chunks concurrently into raw
-// cells, infer column types globally, then build typed records concurrently
-// — each chunk landing as one ordered partition.
+// Scan implements Source: the scan plan with every chunk built here.
 func (s *CSV) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
-	buf, err := s.src.bytes()
-	if err != nil {
-		return nil, err
-	}
-	out, st, err := scanCSV(ctx, buf, parts)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.state = st
-	s.mu.Unlock()
-	return out, nil
-}
-
-func scanCSV(ctx context.Context, buf []byte, parts int) ([][]types.Value, *csvState, error) {
-	if parts < 1 {
-		parts = 1
-	}
-	if len(buf) == 0 {
-		return nil, nil, nil
-	}
-	header, hEnd, err := csvHeader(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if header == nil {
-		return nil, nil, nil
-	}
-	headerLines := bytes.Count(buf[:hEnd], []byte{'\n'})
-	chunks, baseLines := splitCSVBody(buf[hEnd:], parts)
-
-	// Phase 1: parse raw cells per chunk, in parallel. Parse errors are
-	// rebased from chunk-relative to absolute file line numbers, matching
-	// what the sequential reader reports for the same input.
-	raw := make([][][]string, len(chunks))
-	err = runParallel(ctx, len(chunks), parts, func(i int) error {
-		rows, err := parseCSVChunk(chunks[i], headerLines+baseLines[i])
-		if err != nil {
-			return err
-		}
-		raw[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Phase 2: global type inference — every chunk votes on every column, so
-	// the result matches the sequential reader exactly.
-	colTypes, voted := data.InferColumnTypesSeen(raw, len(header))
-
-	// Phase 3: build typed records per chunk, in parallel, landing each
-	// chunk as one ordered partition.
-	schema := types.NewSchema(header...)
-	out := make([][]types.Value, len(chunks))
-	err = runParallel(ctx, len(chunks), parts, func(i int) error {
-		rows := raw[i]
-		vals := make([]types.Value, len(rows))
-		for j, row := range rows {
-			fields := make([]types.Value, len(header))
-			for c := range header {
-				var cell string
-				if c < len(row) {
-					cell = row[c]
-				}
-				fields[c] = data.ParseCell(cell, colTypes[c])
-			}
-			vals[j] = types.NewRecord(schema, fields)
-		}
-		out[i] = vals
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &csvState{
-		header:   header,
-		schema:   schema,
-		colTypes: colTypes,
-		voted:    voted,
-		consumed: int64(len(buf)),
-	}
-	return out, st, nil
+	return scanLocal(ctx, s, parts)
 }
 
 // Consumed implements Tailer.

@@ -3,6 +3,8 @@ package source
 import (
 	"bytes"
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cleandb/internal/data"
@@ -95,4 +97,50 @@ func FuzzCSVParallelMatchesSequential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzJSONLParallelMatchesSequential is the equivalence oracle for the
+// line-chunked JSONL scan: for any partition count the plan-driven scan
+// produces exactly data.ReadJSON's rows, or both reject the input — and then
+// both name the same absolute line, however the bad lines fell into chunks.
+func FuzzJSONLParallelMatchesSequential(f *testing.F) {
+	f.Add([]byte("{\"a\":1}\n{\"a\":2}\n"), uint8(2))
+	f.Add([]byte("{\"a\":1}\n\n  \n{\"b\":[1,2]}\n"), uint8(3))
+	f.Add([]byte("{\"a\":1}\n{bad\n{\"a\":3}\n{worse\n"), uint8(8))
+	f.Add([]byte("{\"a\":{\"b\":null}}\r\n{\"a\":1.5}"), uint8(200))
+	f.Add([]byte(""), uint8(0))
+	f.Fuzz(func(t *testing.T, in []byte, parts uint8) {
+		want, werr := data.ReadJSON(bytes.NewReader(in))
+		got, gerr := JSONBytes(in).Scan(context.Background(), int(parts))
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("parts=%d: sequential err %v, parallel err %v", parts, werr, gerr)
+		}
+		if werr != nil {
+			if wl, gl := jsonErrLine(werr), jsonErrLine(gerr); wl != gl {
+				t.Fatalf("parts=%d: sequential fails at line %d (%v), parallel at line %d (%v)", parts, wl, werr, gl, gerr)
+			}
+			return
+		}
+		flat := flatten(got)
+		if len(flat) != len(want) {
+			t.Fatalf("parts=%d: %d rows, want %d", parts, len(flat), len(want))
+		}
+		for i := range want {
+			if !types.Equal(flat[i], want[i]) {
+				t.Fatalf("parts=%d row %d: %v != %v", parts, i, flat[i], want[i])
+			}
+		}
+	})
+}
+
+// jsonErrLine extracts N from a "json line N:" parse error, 0 when the error
+// names no line.
+func jsonErrLine(err error) int {
+	_, rest, ok := strings.Cut(err.Error(), "json line ")
+	if !ok {
+		return 0
+	}
+	num, _, _ := strings.Cut(rest, ":")
+	n, _ := strconv.Atoi(num)
+	return n
 }

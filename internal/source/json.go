@@ -10,8 +10,8 @@ import (
 )
 
 // JSON is a JSON-lines source (one object per line, nested records
-// supported). Lines are independent, so Scan splits the input at line
-// boundaries and parses the chunks on parallel goroutines; a shared
+// supported). Lines are independent, so its scan plan splits the input at
+// line boundaries and parses the chunks on parallel goroutines; a shared
 // concurrency-safe schema cache preserves the sequential reader's
 // schema-sharing across partitions.
 //
@@ -51,41 +51,9 @@ func (s *JSON) Stats() (Stats, error) {
 	return Stats{Rows: -1, Bytes: s.src.sizeBytes()}, nil
 }
 
-// Scan implements Source by parsing line-boundary chunks in parallel.
+// Scan implements Source: the scan plan with every chunk built here.
 func (s *JSON) Scan(ctx context.Context, parts int) ([][]types.Value, error) {
-	buf, err := s.src.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	chunks, firstLines := splitLines(buf, parts)
-	cache := data.NewSchemaCache()
-	out := make([][]types.Value, len(chunks))
-	err = runParallel(ctx, len(chunks), parts, func(i int) error {
-		rows, err := data.ReadJSONChunk(chunks[i], firstLines[i], cache)
-		if err != nil {
-			return err
-		}
-		out[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.state = &jsonState{cache: cache, consumed: int64(len(buf)), lines: bytes.Count(buf, []byte{'\n'})}
-	s.mu.Unlock()
-	// Blank lines produce no rows, so some chunks may be empty; drop them so
-	// partition counts reflect data, not whitespace.
-	kept := out[:0]
-	for _, p := range out {
-		if len(p) > 0 {
-			kept = append(kept, p)
-		}
-	}
-	return kept, nil
+	return scanLocal(ctx, s, parts)
 }
 
 // Consumed implements Tailer.

@@ -7,22 +7,25 @@ import (
 	"sync"
 
 	"cleandb/internal/data"
+	"cleandb/internal/engine"
 	"cleandb/internal/types"
 )
 
-// Partition-custody scans. A ScanPlan exposes a source's partition layout —
-// exactly the chunks Scan would produce — without parsing anything, so a
-// cluster member can parse only the chunks it owns and receive the rest from
-// peers through the exchange. The contract that makes the gathered dataset
-// bit-identical to a single-process Scan: Chunks/chunk boundaries are a pure
-// function of the bytes and the partition count, Build(i) returns exactly the
-// rows Scan would have placed in partition i, and Finish applies whatever
-// whole-scan postprocessing Scan performs (CSV tail-state recording, JSON
-// empty-partition dropping) to the reassembled whole.
+// ScanPlan is a format's one implementation of "chunk layout + parse": the
+// ordered chunks a scan of the source produces, and how to build any one of
+// them, without building anything up front. Every scan — CSV.Scan, JSON.Scan
+// and Colbin.Scan in a single process, and a cluster member's share of a
+// partition-custody load — is ScanMasked driving one of these; the callers
+// differ only in which chunks they build here.
 //
-// CSV needs a vote round first: column types are inferred globally, so each
-// member votes types for its owned chunks (NeedsVote/Vote), the votes cross
-// the exchange, and SetTypes installs the merged result before any Build.
+// The contract that makes a divided scan bit-identical to a local one:
+// Chunks and the chunk boundaries are a pure function of the bytes and the
+// partition count, Build(i) depends only on the bytes and the installed types,
+// and Finish sees the reassembled whole whoever built its pieces.
+//
+// CSV needs a vote round first: column types are inferred over every chunk,
+// so each chunk votes (NeedsVote/Vote), the merged votes are installed with
+// SetTypes, and only then may any chunk Build.
 type ScanPlan interface {
 	// Chunks is the number of ordered partitions the scan produces.
 	Chunks() int
@@ -36,29 +39,119 @@ type ScanPlan interface {
 	// SetTypes installs the merged global votes; required before Build when
 	// NeedsVote, ignored otherwise.
 	SetTypes(votes []data.ColVote) error
-	// Build returns chunk i's rows, typed exactly as Scan would type them.
+	// Build returns chunk i's rows.
 	Build(ctx context.Context, i int) ([]types.Value, error)
-	// Finish postprocesses the fully reassembled partition vector (owned
-	// chunks built locally, the rest gathered from peers) and records any
-	// tail-scan state, completing the custody scan's equivalence to Scan.
+	// Finish postprocesses the fully assembled partition vector (JSON drops
+	// whitespace-only partitions) and records the source's tail-scan state.
 	Finish(full [][]types.Value) ([][]types.Value, error)
 }
 
-// PartitionedScanner is implemented by sources whose Scan can be divided by
-// partition custody. Sources without it are scanned replicated — every member
-// parses the whole input — which stays deterministic, just not divided.
+// PartitionedScanner is implemented by the sources whose Scan is plan-driven
+// and can therefore be divided by partition custody. Sources without it (XML,
+// in-memory rows, custom sources) are scanned whole by every member.
 type PartitionedScanner interface {
 	Source
 	PlanScan(ctx context.Context, parts int) (ScanPlan, error)
 }
 
+// Gathered counts what a masked scan received from peers instead of parsing
+// it here. It is zero whenever every chunk was built locally.
+type Gathered struct {
+	Chunks int
+	Bytes  int64
+}
+
+// ScanMasked is the one scan path. It plans s into at most parts chunks and
+// runs the plan's stages through engine.RunMasked: the type-vote round when
+// the format needs one ("scanvote/<name>"), then the data round
+// ("scan/<name>"), then Finish. With a nil exchange every chunk is built here
+// and nothing crosses a wire; with a session's exchange this member builds the
+// chunks rendezvous custody assigns it (and any it adopts from a dead peer,
+// which the plan re-parses from the raw bytes) and gathers the rest, so every
+// member ends with the same complete partition vector.
+func ScanMasked(ctx context.Context, s PartitionedScanner, parts int, ex engine.Exchange, name string) ([][]types.Value, Gathered, error) {
+	plan, err := s.PlanScan(ctx, parts)
+	if err != nil {
+		return nil, Gathered{}, err
+	}
+	n := plan.Chunks()
+	var votedHere []int
+
+	if n > 0 && plan.NeedsVote() {
+		// Votes built here stay typed; only a peer's cross the exchange as rows.
+		votes := make([][]data.ColVote, n)
+		full, ran, err := engine.RunMasked(ctx, ex, "scanvote/"+name, n, parts, func(i int) ([]types.Value, error) {
+			v, err := plan.Vote(ctx, i)
+			votes[i] = v
+			if err != nil || ex == nil {
+				return nil, err
+			}
+			return data.VoteRows(v), nil
+		})
+		if err != nil {
+			return nil, Gathered{}, err
+		}
+		votedHere = ran
+		for i := range votes {
+			if votes[i] != nil {
+				continue
+			}
+			if votes[i], err = data.VotesOfRows(full[i]); err != nil {
+				return nil, Gathered{}, fmt.Errorf("source: %s chunk %d: %w", name, i, err)
+			}
+		}
+		if err := plan.SetTypes(data.ColVotes(data.MergeColVotes(votes, len(votes[0])))); err != nil {
+			return nil, Gathered{}, err
+		}
+	}
+
+	full, builtHere, err := engine.RunMasked(ctx, ex, "scan/"+name, n, parts, func(i int) ([]types.Value, error) {
+		return plan.Build(ctx, i)
+	})
+	if err != nil {
+		return nil, Gathered{}, err
+	}
+	if full, err = plan.Finish(full); err != nil {
+		return nil, Gathered{}, err
+	}
+	mine := make([]bool, n) // chunks parsed here, in either round
+	for _, i := range append(votedHere, builtHere...) {
+		mine[i] = true
+	}
+	var g Gathered
+	for i := range mine {
+		if !mine[i] {
+			g.Chunks++
+			g.Bytes += plan.ChunkBytes(i)
+		}
+	}
+	return full, g, nil
+}
+
+// scanLocal is Scan for the plan-driven formats: every chunk built here.
+func scanLocal(ctx context.Context, s PartitionedScanner, parts int) ([][]types.Value, error) {
+	out, _, err := ScanMasked(ctx, s, parts, nil, "")
+	return out, err
+}
+
+// rowRanges cuts rows into at most parts equal contiguous ranges: per rows
+// each (the last may be short), n ranges in all.
+func rowRanges(rows, parts int) (per, n int) {
+	if rows == 0 {
+		return 0, 0
+	}
+	if parts < 1 {
+		parts = 1
+	}
+	per = (rows + parts - 1) / parts
+	return per, (rows + per - 1) / per
+}
+
 // ---- CSV ----
 
-// csvPlan mirrors scanCSV's three phases with per-chunk granularity: raw
-// cells parse lazily per owned chunk (cached between the vote and build
-// phases, and re-parsed on demand when custody reassignment adopts a chunk
-// after the vote round), types arrive via SetTypes instead of local
-// inference, and Finish installs the tail state Scan would have recorded.
+// csvPlan chunks the body at record boundaries. Raw cells parse lazily per
+// chunk and are cached between the vote and build rounds; a chunk adopted
+// after the vote round is simply parsed again.
 type csvPlan struct {
 	s           *CSV
 	buf         []byte
@@ -70,22 +163,18 @@ type csvPlan struct {
 	baseLines   []int
 
 	mu       sync.Mutex
-	raw      map[int][][]string
+	raw      [][][]string // per chunk; nil until parsed and again once built
 	colTypes []data.ColType
 	voted    []bool
 }
 
-// PlanScan implements PartitionedScanner. The chunk layout is byte-for-byte
-// the one Scan(ctx, parts) uses.
+// PlanScan implements PartitionedScanner.
 func (s *CSV) PlanScan(ctx context.Context, parts int) (ScanPlan, error) {
-	if parts < 1 {
-		parts = 1
-	}
 	buf, err := s.src.bytes()
 	if err != nil {
 		return nil, err
 	}
-	p := &csvPlan{s: s, buf: buf, raw: make(map[int][][]string)}
+	p := &csvPlan{s: s, buf: buf}
 	if len(buf) == 0 {
 		return p, nil
 	}
@@ -101,6 +190,7 @@ func (s *CSV) PlanScan(ctx context.Context, parts int) (ScanPlan, error) {
 	p.hEnd = hEnd
 	p.headerLines = bytes.Count(buf[:hEnd], []byte{'\n'})
 	p.chunks, p.baseLines = splitCSVBody(buf[hEnd:], parts)
+	p.raw = make([][][]string, len(p.chunks))
 	return p, nil
 }
 
@@ -152,14 +242,19 @@ func (p *csvPlan) Build(ctx context.Context, i int) ([]types.Value, error) {
 	}
 	rows := buildCSVRows(raw, p.header, p.schema, colTypes)
 	p.mu.Lock()
-	delete(p.raw, i) // built chunks never re-vote; adoption re-parses
+	p.raw[i] = nil // built chunks never re-vote; adoption re-parses
 	p.mu.Unlock()
 	return rows, nil
 }
 
+// Finish records the tail state: the header, the merged types with their
+// voted flags, and the whole input as the consumed high-water mark.
 func (p *csvPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
-	if len(p.buf) == 0 || p.header == nil {
-		return full, nil // blank input: Scan records no state either
+	if p.header == nil { // blank input: nothing to continue a tail from
+		p.s.mu.Lock()
+		p.s.state = nil
+		p.s.mu.Unlock()
+		return full, nil
 	}
 	p.mu.Lock()
 	colTypes, voted := p.colTypes, p.voted
@@ -184,14 +279,14 @@ func (p *csvPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
 	return full, nil
 }
 
-// rawChunk parses chunk i's raw cells, caching the result between the vote
-// and build phases. Errors are rebased to absolute file line numbers exactly
-// as scanCSV's phase 1 does.
+// rawChunk parses chunk i's raw cells, caching them for the build round.
+// Parse errors are rebased from chunk-relative to absolute file line numbers,
+// matching what the sequential reader reports for the same input.
 func (p *csvPlan) rawChunk(ctx context.Context, i int) ([][]string, error) {
 	p.mu.Lock()
-	rows, ok := p.raw[i]
+	rows := p.raw[i]
 	p.mu.Unlock()
-	if ok {
+	if rows != nil {
 		return rows, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -209,9 +304,9 @@ func (p *csvPlan) rawChunk(ctx context.Context, i int) ([][]string, error) {
 
 // ---- JSON ----
 
-// jsonPlan defers the whole-scan parts of JSON's Scan to Finish: the state
-// install and the empty-partition drop both need every chunk, so under
-// custody they run on the gathered vector.
+// jsonPlan chunks the input at line boundaries; lines are independent, so
+// the chunks parse with no round before them, sharing one concurrency-safe
+// schema cache that preserves the sequential reader's schema sharing.
 type jsonPlan struct {
 	s          *JSON
 	buf        []byte
@@ -220,12 +315,8 @@ type jsonPlan struct {
 	cache      *data.SchemaCache
 }
 
-// PlanScan implements PartitionedScanner with Scan's exact line-boundary
-// chunking.
+// PlanScan implements PartitionedScanner.
 func (s *JSON) PlanScan(ctx context.Context, parts int) (ScanPlan, error) {
-	if parts < 1 {
-		parts = 1
-	}
 	buf, err := s.src.bytes()
 	if err != nil {
 		return nil, err
@@ -250,12 +341,12 @@ func (p *jsonPlan) Build(ctx context.Context, i int) ([]types.Value, error) {
 	return data.ReadJSONChunk(p.chunks[i], p.firstLines[i], p.cache)
 }
 
+// Finish records the tail state and drops the partitions blank lines left
+// empty, so partition counts reflect data, not whitespace.
 func (p *jsonPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
 	p.s.mu.Lock()
 	p.s.state = &jsonState{cache: p.cache, consumed: int64(len(p.buf)), lines: bytes.Count(p.buf, []byte{'\n'})}
 	p.s.mu.Unlock()
-	// Scan drops whitespace-only partitions after parsing; the custody scan
-	// drops them after the gather, preserving partition-count equivalence.
 	kept := full[:0]
 	for _, part := range full {
 		if len(part) > 0 {
@@ -268,16 +359,16 @@ func (p *jsonPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
 // ---- colbin ----
 
 // colbinPlan reads only the header up front (row count and column names come
-// from a bounded prefix), then decodes the column chunks lazily on the first
-// owned Build. A member owning no chunks of a colbin source therefore loads
-// O(header) bytes, and ChunkBytes charges each row range its proportional
-// share of the file.
+// from a bounded prefix), then decodes the columns — concurrently, once — on
+// the first Build and assembles each chunk's row range from them. A member
+// owning no chunk of a colbin source therefore loads O(header) bytes, and
+// ChunkBytes charges each row range its proportional share of the file.
 type colbinPlan struct {
-	s      *Colbin
-	rows   int
-	size   int64
-	per    int
-	nparts int
+	s    *Colbin
+	rows int
+	size int64
+	per  int
+	n    int
 
 	once   sync.Once
 	schema *types.Schema
@@ -285,31 +376,24 @@ type colbinPlan struct {
 	err    error
 }
 
-// PlanScan implements PartitionedScanner with Scan's exact row-range
-// partitioning.
+// PlanScan implements PartitionedScanner.
 func (s *Colbin) PlanScan(ctx context.Context, parts int) (ScanPlan, error) {
-	if parts < 1 {
-		parts = 1
-	}
 	_, rows64, err := s.header()
 	if err != nil {
 		return nil, err
 	}
-	rows := int(rows64)
-	p := &colbinPlan{s: s, rows: rows, size: s.src.sizeBytes()}
-	if rows == 0 {
-		return p, nil
-	}
-	p.per = (rows + parts - 1) / parts
-	p.nparts = (rows + p.per - 1) / p.per
+	p := &colbinPlan{s: s, rows: int(rows64), size: s.src.sizeBytes()}
+	p.per, p.n = rowRanges(p.rows, parts)
 	return p, nil
 }
 
-func (p *colbinPlan) Chunks() int { return p.nparts }
+func (p *colbinPlan) Chunks() int { return p.n }
 
+// ChunkBytes telescopes, so the chunks' shares sum to the file size exactly.
 func (p *colbinPlan) ChunkBytes(i int) int64 {
 	lo, hi := p.span(i)
-	return p.size * int64(hi-lo) / int64(p.rows)
+	rows := int64(p.rows)
+	return p.size*int64(hi)/rows - p.size*int64(lo)/rows
 }
 
 func (p *colbinPlan) span(i int) (lo, hi int) {
@@ -345,20 +429,23 @@ func (p *colbinPlan) Build(ctx context.Context, i int) ([]types.Value, error) {
 	return vals, nil
 }
 
-// decode indexes the file and decodes every column, once, on the first owned
-// Build. Columns span all rows, so chunk custody for colbin divides row
-// assembly and lets chunk-less members skip the body entirely, but an owner
-// of any chunk decodes whole columns.
+// decode indexes the file and decodes every column, once. Columns span all
+// rows, so dividing a colbin scan divides row assembly and lets chunk-less
+// members skip the body entirely, but an owner of any chunk decodes whole
+// columns.
 func (p *colbinPlan) decode(ctx context.Context) error {
 	p.once.Do(func() {
 		info, err := p.s.index()
+		if err == nil && info.Rows != p.rows {
+			err = fmt.Errorf("source: colbin: %d rows indexed, header promised %d", info.Rows, p.rows)
+		}
 		if err != nil {
 			p.err = err
 			return
 		}
 		ncols := len(info.Names)
 		cols := make([][]types.Value, ncols)
-		p.err = runParallel(ctx, ncols, p.nparts, func(c int) error {
+		p.err = runParallel(ctx, ncols, p.n, func(c int) error {
 			vals, err := info.DecodeColumn(c)
 			if err != nil {
 				return err

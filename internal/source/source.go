@@ -5,11 +5,18 @@
 // A Source is cheap to construct: building one records where the data lives
 // and nothing else. Parsing happens in Scan, which lands the rows directly
 // as ordered partitions so the engine can wrap them without a
-// collect-then-repartition copy, and which parallelizes wherever the format
-// permits: CSV splits on row boundaries across goroutines, JSON lines split
-// on line boundaries, colbin decodes its column chunks concurrently. XML is
-// the holdout — nested elements leave no safe split points short of parsing
-// — so it scans sequentially and only partitions the result.
+// collect-then-repartition copy.
+//
+// There is one scan path for the formats that can be cut into chunks. CSV
+// (row boundaries), JSON lines (line boundaries) and colbin (row ranges over
+// concurrently decoded columns) each describe their chunk layout and
+// per-chunk parse once, as a ScanPlan, and ScanMasked drives the plan
+// through the engine's masked-stage driver. Their Scan methods are that
+// driver with every chunk built here; a cluster member under partition
+// custody runs the same driver with the session's exchange, building only
+// the chunks it owns and gathering the rest. XML is the holdout — nested
+// elements leave no safe split points short of parsing — so it scans
+// sequentially and only partitions the result.
 //
 // The catalog registers sources lazily and calls Scan on first use; Schema
 // and Stats answer what they can without a full parse (a CSV header, a

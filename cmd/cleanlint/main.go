@@ -1,6 +1,7 @@
-// Command cleanlint runs the cleandb static-analysis suite: the five
+// Command cleanlint runs the cleandb static-analysis suite: the six
 // analyzers in internal/lint that enforce the engine's cost-model,
-// cancellation, dictionary, sink-lifecycle and lock-snapshot invariants.
+// cancellation, dictionary, sink-lifecycle, lock-snapshot and
+// key-encoding-in-sorts invariants.
 //
 // Usage:
 //

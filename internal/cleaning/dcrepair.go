@@ -3,6 +3,7 @@ package cleaning
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -24,6 +25,12 @@ import (
 // uses), derives per-tuple repair intervals from the partners' values, and
 // solves each cluster independently, in parallel on the engine worker pool,
 // for the value assignment with minimum total L1 displacement.
+//
+// The relaxation algorithm is stated over tuple ids and per-tuple intervals,
+// and so is this code: tuples are interned in a types.TupleTable (shared with
+// the statement execution that seeds the loop, see RepairDCIn) and everything
+// after that — pairs, clusters, intervals, the solver, the fixpoint's dirty
+// and touched sets — is keyed by dense id.
 
 // DCRepairConfig parameterizes denial-constraint repair. Check describes the
 // detection side (DCCheck); the remaining fields give repair the declarative
@@ -54,7 +61,10 @@ type DCRepairConfig struct {
 
 // RepairEntry reports one repaired value.
 type RepairEntry struct {
-	// Key is the tuple's canonical key before repair.
+	// Key is the tuple's canonical key before repair: the string the tuple
+	// table built with types.Key when it first interned the tuple, shared by
+	// every entry, interval and sort that names the tuple — not an encoding
+	// made for this entry.
 	Key string
 	// Old and New are the repair attribute's values before and after.
 	Old, New float64
@@ -86,34 +96,43 @@ type RepairResult struct {
 	Entries []RepairEntry
 }
 
-// repairEntrySchema carries per-cluster solver output through the engine.
-var repairEntrySchema = types.NewSchema("key", "old", "new", "lo", "hi")
-
 // RepairDC heals the denial constraint by relaxation: detect violating pairs,
 // cluster interacting violations, solve each cluster for minimum-displacement
 // repair values, rewrite the repair column, and iterate until a re-check
 // finds nothing (or MaxRounds is hit). It propagates ErrBudgetExceeded from
 // the detection joins.
 func RepairDC(ds *engine.Dataset, cfg DCRepairConfig) (*RepairResult, error) {
+	return RepairDCIn(types.NewTupleTable(), ds, cfg)
+}
+
+// RepairDCIn is RepairDC over a caller-owned tuple table: tuples the caller
+// already interned (a statement execution interns every pair member when it
+// puts the pairs in canonical order) are not encoded again, and the tuples
+// the loop meets are added to it.
+func RepairDCIn(tab *types.TupleTable, ds *engine.Dataset, cfg DCRepairConfig) (*RepairResult, error) {
 	if err := validateRepairCfg(&cfg); err != nil {
 		return nil, err
 	}
+	rt := &repairTuples{tab: tab, cfg: &cfg}
 	res := &RepairResult{Repaired: ds}
-	var pairs [][2]types.Value
-	var dirty, touched map[string]bool
+	var pairs [][2]int32
+	var dirty, touched idSet
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		if err := ds.Context().Err(); err != nil {
 			return nil, err
 		}
 		var err error
 		if round == 1 {
-			pairs, err = violatingPairs(res.Repaired, cfg, round)
+			var found [][2]types.Value
+			if found, err = violatingPairs(res.Repaired, cfg); err == nil {
+				pairs = rt.intern(found)
+			}
 		} else {
 			// A pair's violation status depends only on its members' values,
 			// so pairs untouched by the previous round's rewrites carry over
 			// verbatim and only pairs involving a rewritten row need
 			// re-detection — the re-check costs O(delta), not O(n²).
-			pairs, err = recheckPairs(res.Repaired, pairs, dirty, touched, cfg)
+			pairs, err = recheckPairs(res.Repaired, pairs, dirty, touched, rt)
 		}
 		if err != nil {
 			return nil, err
@@ -126,7 +145,7 @@ func RepairDC(ds *engine.Dataset, cfg DCRepairConfig) (*RepairResult, error) {
 			return res, nil
 		}
 		res.Rounds = round
-		repaired, entries, newKeys, clusters := repairRound(res.Repaired, pairs, cfg, round)
+		repaired, entries, oldIDs, newIDs, clusters := repairRound(res.Repaired, pairs, rt, round)
 		res.Repaired = repaired
 		res.Entries = append(res.Entries, entries...)
 		res.Changed += int64(len(entries))
@@ -138,13 +157,8 @@ func RepairDC(ds *engine.Dataset, cfg DCRepairConfig) (*RepairResult, error) {
 			res.Remaining = int64(len(pairs))
 			return res, nil
 		}
-		dirty = make(map[string]bool, 2*len(entries))
-		touched = make(map[string]bool, len(entries))
-		for i, e := range entries {
-			dirty[e.Key] = true
-			dirty[newKeys[i]] = true
-			touched[newKeys[i]] = true
-		}
+		dirty = newIDSet(tab.Len(), oldIDs, newIDs)
+		touched = newIDSet(tab.Len(), newIDs)
 	}
 	leftover, err := DCCheck(res.Repaired, cfg.Check)
 	if err != nil {
@@ -178,9 +192,116 @@ func validateRepairCfg(cfg *DCRepairConfig) error {
 	return nil
 }
 
-// violatingPairs returns the round's violations as (t1, t2) tuples.
-func violatingPairs(ds *engine.Dataset, cfg DCRepairConfig, round int) ([][2]types.Value, error) {
-	if round == 1 && cfg.InitialPairs != nil {
+// repairTuples is the repair loop's view of the execution's tuple table: the
+// table's dense ids, plus the band (order) and repair-attribute values of
+// every id, evaluated once when the id is first met. The loop works on ids
+// and these floats; a tuple's key string is read off the table only to break
+// order ties and to label a RepairEntry.
+type repairTuples struct {
+	tab    *types.TupleTable
+	cfg    *DCRepairConfig
+	band   []float64
+	repair []float64
+}
+
+// sync evaluates the band and repair attributes of ids interned since the
+// last call.
+func (rt *repairTuples) sync() {
+	for id := len(rt.band); id < rt.tab.Len(); id++ {
+		v := rt.tab.Value(int32(id))
+		rt.band = append(rt.band, rt.cfg.Check.Band(v))
+		rt.repair = append(rt.repair, rt.cfg.RepairAttr(v))
+	}
+}
+
+// intern maps value pairs to id pairs, encoding only tuples the table has
+// not seen.
+func (rt *repairTuples) intern(pairs [][2]types.Value) [][2]int32 {
+	out := make([][2]int32, len(pairs))
+	for i, p := range pairs {
+		out[i] = [2]int32{rt.tab.Intern(p[0]), rt.tab.Intern(p[1])}
+	}
+	rt.sync()
+	return out
+}
+
+// idSet is a set of tuple ids. Ids interned after the set was sized are not
+// members.
+type idSet []bool
+
+func newIDSet(n int, idLists ...[]int32) idSet {
+	s := make(idSet, n)
+	for _, ids := range idLists {
+		for _, id := range ids {
+			s[id] = true
+		}
+	}
+	return s
+}
+
+func (s idSet) has(id int32) bool { return int(id) < len(s) && s[id] }
+
+func (s idSet) ids() []int32 {
+	var out []int32
+	for id, in := range s {
+		if in {
+			out = append(out, int32(id))
+		}
+	}
+	return out
+}
+
+// probe rules dataset rows out of an id set without encoding them: it maps
+// the repair-attribute value of each tuple in the set to the band values seen
+// with it. A row whose (band, repair) pair is absent cannot be value-identical
+// to any tuple in the set.
+type probe map[uint64][]uint64
+
+// floatBits is the probe's exact-match key for a float: every value the
+// canonical key encoding cannot tell apart (the two zeros, all NaNs) maps to
+// one key.
+func floatBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+func (rt *repairTuples) probeOf(ids []int32) probe {
+	p := make(probe, len(ids))
+	for _, id := range ids {
+		r, b := floatBits(rt.repair[id]), floatBits(rt.band[id])
+		if !slices.Contains(p[r], b) {
+			p[r] = append(p[r], b)
+		}
+	}
+	return p
+}
+
+// find resolves a dataset row to its tuple id if that tuple is in set (p is
+// set's probe). Rows the table knows by pointer answer from the id; any other
+// row is encoded only after its band and repair values match a member of the
+// set exactly, so a row that is not in the set — nearly every row of the
+// dataset, every round — costs two float reads. Read-only: safe from the
+// engine's parallel stages.
+func (rt *repairTuples) find(v types.Value, set idSet, p probe) (int32, bool) {
+	if id, ok := rt.tab.ByRecord(v); ok {
+		return id, set.has(id)
+	}
+	bands, ok := p[floatBits(rt.cfg.RepairAttr(v))]
+	if !ok || !slices.Contains(bands, floatBits(rt.cfg.Check.Band(v))) {
+		return 0, false
+	}
+	id, ok := rt.tab.ByKey(types.Key(v))
+	return id, ok && set.has(id)
+}
+
+// violatingPairs returns round 1's violations as (t1, t2) tuples.
+func violatingPairs(ds *engine.Dataset, cfg DCRepairConfig) ([][2]types.Value, error) {
+	if cfg.InitialPairs != nil {
 		return cfg.InitialPairs, nil
 	}
 	found, err := DCCheck(ds, cfg.Check)
@@ -198,101 +319,98 @@ func violatingPairs(ds *engine.Dataset, cfg DCRepairConfig, round int) ([][2]typ
 // recheckPairs computes the next round's violating pairs from the previous
 // round's: pairs whose members were both untouched by the round's rewrites
 // keep their violation status, so only pairs involving a rewritten row
-// (touched: the rewritten rows' new keys) are freshly enumerated against the
-// whole dataset. dirty holds both the old and new keys of rewritten rows;
-// ApplyValueRepairs rewrites every instance sharing an old key, so a
-// previous pair with neither key dirty is guaranteed to pair two unchanged
-// rows.
-func recheckPairs(ds *engine.Dataset, prev [][2]types.Value, dirty, touched map[string]bool, cfg DCRepairConfig) ([][2]types.Value, error) {
-	var carried [][2]types.Value
+// (touched: the rewritten rows' new tuples) are freshly enumerated against the
+// whole dataset. dirty holds both the old and new tuples of rewritten rows;
+// the apply step rewrites every instance of an old tuple, so a previous pair
+// with neither member dirty is guaranteed to pair two unchanged rows. prev is
+// filtered in place.
+func recheckPairs(ds *engine.Dataset, prev [][2]int32, dirty, touched idSet, rt *repairTuples) ([][2]int32, error) {
+	carried := prev[:0]
 	for _, p := range prev {
-		if !dirty[types.Key(p[0])] && !dirty[types.Key(p[1])] {
+		if !dirty.has(p[0]) && !dirty.has(p[1]) {
 			carried = append(carried, p)
 		}
 	}
-	fresh, err := DeltaDCPairs(ds, func(_ int, v types.Value) bool { return touched[types.Key(v)] }, cfg.Check)
+	p := rt.probeOf(touched.ids())
+	fresh, err := DeltaDCPairs(ds, func(_ int, v types.Value) bool {
+		_, ok := rt.find(v, touched, p)
+		return ok
+	}, rt.cfg.Check)
 	if err != nil {
 		return nil, err
 	}
-	return append(carried, fresh...), nil
+	return append(carried, rt.intern(fresh)...), nil
 }
 
 // repairRound clusters the violating pairs, solves every cluster in parallel
 // on the engine worker pool, and applies the resulting value repairs. Besides
-// the entries it returns, aligned with them, the canonical keys of the
-// rewritten rows *after* the rewrite — the fresh set the next round's
-// delta re-check enumerates against.
-func repairRound(ds *engine.Dataset, pairs [][2]types.Value, cfg DCRepairConfig, round int) (*engine.Dataset, []RepairEntry, []string, int) {
+// the entries it returns, aligned with them, the ids of the rewritten tuples
+// before and after the rewrite — the new ones are the fresh set the next
+// round's delta re-check enumerates against.
+func repairRound(ds *engine.Dataset, pairs [][2]int32, rt *repairTuples, round int) (*engine.Dataset, []RepairEntry, []int32, []int32, int) {
+	cfg, tab := rt.cfg, rt.tab
+	intervals := repairIntervals(pairs, rt)
 	uf := NewUnionFind()
-	byKey := map[string]types.Value{}
-	intervals := repairIntervals(pairs, cfg)
+	active := make(idSet, tab.Len())
 	for _, p := range pairs {
-		k1, k2 := types.Key(p[0]), types.Key(p[1])
-		byKey[k1], byKey[k2] = p[0], p[1]
-		uf.Union(k1, k2)
+		uf.Union(p[0], p[1])
+		active[p[0]], active[p[1]] = true, true
 	}
+	ids := active.ids()
+	// Key order fixes everything downstream that must not depend on the order
+	// pairs arrived in: members within a cluster, clusters within the stage,
+	// entries within the round.
+	tab.SortByKey(ids)
+	groups := uf.Groups(ids)
 
-	// One record per cluster: the member tuples as a list value. Solving runs
-	// as an engine stage so cluster skew (one giant cluster) is charged to
-	// SimTicks like any other straggler.
+	// One record per cluster, naming it by index. Solving runs as an engine
+	// stage so cluster skew (one giant cluster) is charged to SimTicks like
+	// any other straggler. Clusters are disjoint, so each solve writes its own
+	// members' slots of fits.
 	ctx := ds.Context()
-	groups := uf.Groups()
+	fits := append([]float64(nil), rt.repair...)
 	clusterRows := make([]types.Value, len(groups))
-	for i, members := range groups {
-		if ctx.Err() != nil {
-			break // cancelled: the solve stage below aborts anyway
-		}
-		vals := make([]types.Value, len(members))
-		for j, k := range members {
-			vals[j] = byKey[k]
-		}
-		clusterRows[i] = types.ListOf(vals)
+	for i := range groups {
+		clusterRows[i] = types.Int(int64(i))
 	}
-	clusters := engine.FromValues(ctx, clusterRows)
-	solved := clusters.FlatMapW("dcrepair:solve", func(cluster types.Value) []types.Value {
-		members := cluster.List()
-		fits := solveCluster(members, cfg, intervals)
-		ctx.Metrics().AddComparisons(solveCost(len(members)))
-		var out []types.Value
-		for i, m := range members {
-			old := cfg.RepairAttr(m)
-			if fits[i] == old {
-				continue
-			}
-			lo, hi := math.Inf(-1), math.Inf(1)
-			if iv, ok := intervals[types.Key(m)]; ok {
-				lo, hi = iv.lo, iv.hi
-			}
-			out = append(out, types.NewRecord(repairEntrySchema, []types.Value{
-				types.String(types.Key(m)), types.Float(old), types.Float(fits[i]),
-				types.Float(lo), types.Float(hi),
-			}))
+	engine.FromValues(ctx, clusterRows).FlatMapW("dcrepair:solve", func(cluster types.Value) []types.Value {
+		members := groups[cluster.Int()]
+		for i, fit := range solveCluster(members, rt, intervals) {
+			fits[members[i]] = fit
 		}
-		return out
+		ctx.Metrics().AddComparisons(solveCost(len(members)))
+		return nil
 	}, func(cluster types.Value) int64 {
-		return solveCost(len(cluster.List()))
+		return solveCost(len(groups[cluster.Int()]))
 	})
 
-	rows := solved.Collect()
-	entries := make([]RepairEntry, len(rows))
-	newValues := make(map[string]float64, len(rows))
-	for i, r := range rows {
-		entries[i] = RepairEntry{
-			Key: r.Field("key").Str(),
-			Old: r.Field("old").Float(), New: r.Field("new").Float(),
-			Lo: r.Field("lo").Float(), Hi: r.Field("hi").Float(),
-			Round: round,
+	var entries []RepairEntry
+	var oldIDs, newIDs []int32
+	for _, id := range ids {
+		if fits[id] == rt.repair[id] {
+			continue
 		}
-		newValues[entries[i].Key] = entries[i].New
+		entries = append(entries, RepairEntry{
+			Key: tab.Key(id),
+			Old: rt.repair[id], New: fits[id],
+			Lo: intervals[id].lo, Hi: intervals[id].hi,
+			Round: round,
+		})
+		w, _ := rewriteValueCol(tab.Value(id), cfg.RepairCol, fits[id])
+		oldIDs, newIDs = append(oldIDs, id), append(newIDs, tab.Intern(w))
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	newKeys := make([]string, len(entries))
-	for i, e := range entries {
-		w, _ := rewriteValueCol(byKey[e.Key], cfg.RepairCol, e.New)
-		newKeys[i] = types.Key(w)
-	}
-	repaired, _ := ApplyValueRepairs(ds, cfg.RepairCol, newValues)
-	return repaired, entries, newKeys, len(groups)
+	rt.sync()
+
+	changed := newIDSet(tab.Len(), oldIDs)
+	p := rt.probeOf(oldIDs)
+	repaired, _ := ApplyValueRepairs(ds, cfg.RepairCol, func(v types.Value) (float64, bool) {
+		id, ok := rt.find(v, changed, p)
+		if !ok {
+			return 0, false
+		}
+		return fits[id], true
+	})
+	return repaired, entries, oldIDs, newIDs, len(groups)
 }
 
 // solveCost models the per-cluster solver work (sort + pool passes): n·log n.
@@ -313,24 +431,18 @@ type interval struct{ lo, hi float64 }
 
 // repairIntervals derives, for every tuple in a violating pair, the value
 // range that would satisfy all of its violated pairs if only that tuple were
-// repaired — the relaxation intervals the cluster solver refines.
-func repairIntervals(pairs [][2]types.Value, cfg DCRepairConfig) map[string]interval {
-	out := map[string]interval{}
-	get := func(k string) interval {
-		if iv, ok := out[k]; ok {
-			return iv
-		}
-		return interval{lo: math.Inf(-1), hi: math.Inf(1)}
+// repaired — the relaxation intervals the cluster solver refines. The result
+// is indexed by tuple id; ids in no pair keep (−Inf, +Inf).
+func repairIntervals(pairs [][2]int32, rt *repairTuples) []interval {
+	out := make([]interval, rt.tab.Len())
+	for i := range out {
+		out[i] = interval{lo: math.Inf(-1), hi: math.Inf(1)}
 	}
-	gap := 0.0
-	if cfg.RepairOp == ">=" || cfg.RepairOp == "<=" {
-		gap = cfg.MinGap
-	}
+	_, gap := repairDirection(rt.cfg)
 	for _, p := range pairs {
-		k1, k2 := types.Key(p[0]), types.Key(p[1])
-		r1, r2 := cfg.RepairAttr(p[0]), cfg.RepairAttr(p[1])
-		iv1, iv2 := get(k1), get(k2)
-		switch cfg.RepairOp {
+		r1, r2 := rt.repair[p[0]], rt.repair[p[1]]
+		iv1, iv2 := out[p[0]], out[p[1]]
+		switch rt.cfg.RepairOp {
 		case ">", ">=": // complement: r1 ≤ r2 (− gap when strict)
 			iv1.hi = math.Min(iv1.hi, r2-gap)
 			iv2.lo = math.Max(iv2.lo, r1+gap)
@@ -338,7 +450,7 @@ func repairIntervals(pairs [][2]types.Value, cfg DCRepairConfig) map[string]inte
 			iv1.lo = math.Max(iv1.lo, r2+gap)
 			iv2.hi = math.Min(iv2.hi, r1-gap)
 		}
-		out[k1], out[k2] = iv1, iv2
+		out[p[0]], out[p[1]] = iv1, iv2
 	}
 	return out
 }
@@ -356,42 +468,43 @@ func repairIntervals(pairs [][2]types.Value, cfg DCRepairConfig) map[string]inte
 //     This is the cheap repair for star-shaped clusters — a few filtered
 //     tuples violating against many partners — where pooling the whole
 //     chain would rewrite thousands of values.
-func solveCluster(members []types.Value, cfg DCRepairConfig, intervals map[string]interval) []float64 {
-	chain := chainFit(members, cfg)
-	clamp := clampFit(members, cfg, intervals)
-	if clamp == nil || displacement(members, cfg, chain) <= displacement(members, cfg, clamp) {
+//
+// members are tuple ids; the fits come back aligned with them.
+func solveCluster(members []int32, rt *repairTuples, intervals []interval) []float64 {
+	idx := orderedIdx(members, rt)
+	chain := chainFit(members, idx, rt)
+	clamp := clampFit(members, idx, rt, intervals)
+	if clamp == nil || displacement(members, rt, chain) <= displacement(members, rt, clamp) {
 		return chain
 	}
 	return clamp
 }
 
 // displacement sums |fit − old| over the cluster.
-func displacement(members []types.Value, cfg DCRepairConfig, fits []float64) float64 {
+func displacement(members []int32, rt *repairTuples, fits []float64) float64 {
 	var d float64
 	for i, m := range members {
-		d += math.Abs(fits[i] - cfg.RepairAttr(m))
+		d += math.Abs(fits[i] - rt.repair[m])
 	}
 	return d
 }
 
 // orderedIdx returns member indices sorted so the t1 role (the side the
 // band predicate puts first) comes first, ties broken by canonical key.
-func orderedIdx(members []types.Value, cfg DCRepairConfig) []int {
+func orderedIdx(members []int32, rt *repairTuples) []int {
 	idx := make([]int, len(members))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		oa, ob := cfg.Check.Band(members[idx[a]]), cfg.Check.Band(members[idx[b]])
-		if oa != ob {
+		ma, mb := members[idx[a]], members[idx[b]]
+		if oa, ob := rt.band[ma], rt.band[mb]; oa != ob {
 			return oa < ob
 		}
-		return types.Key(members[idx[a]]) < types.Key(members[idx[b]])
+		return rt.tab.Key(ma) < rt.tab.Key(mb)
 	})
-	if cfg.Check.BandOp == ">" || cfg.Check.BandOp == ">=" {
-		for a, b := 0, len(idx)-1; a < b; a, b = a+1, b-1 {
-			idx[a], idx[b] = idx[b], idx[a]
-		}
+	if op := rt.cfg.Check.BandOp; op == ">" || op == ">=" {
+		slices.Reverse(idx)
 	}
 	return idx
 }
@@ -399,7 +512,7 @@ func orderedIdx(members []types.Value, cfg DCRepairConfig) []int {
 // repairDirection normalizes the repair comparison: after multiplying values
 // by sign, the requirement is always non-decreasing along the chain, with
 // gap-separation when the complement is strict.
-func repairDirection(cfg DCRepairConfig) (sign, gap float64) {
+func repairDirection(cfg *DCRepairConfig) (sign, gap float64) {
 	sign = 1.0
 	if cfg.RepairOp == "<" || cfg.RepairOp == "<=" {
 		sign = -1.0
@@ -410,26 +523,26 @@ func repairDirection(cfg DCRepairConfig) (sign, gap float64) {
 	return sign, gap
 }
 
-// chainFit is the isotonic-chain relaxation (see solveCluster).
-func chainFit(members []types.Value, cfg DCRepairConfig) []float64 {
-	idx := orderedIdx(members, cfg)
-	sign, gap := repairDirection(cfg)
+// chainFit is the isotonic-chain relaxation (see solveCluster) along idx,
+// the members' orderedIdx.
+func chainFit(members []int32, idx []int, rt *repairTuples) []float64 {
+	sign, gap := repairDirection(rt.cfg)
 
 	// Points along the chain. A non-strict band op ("<=") lets order-ties
 	// violate in both directions, so ties must repair to one shared value:
 	// they are pooled into a single weighted point.
-	poolTies := cfg.Check.BandOp == "<=" || cfg.Check.BandOp == ">="
+	poolTies := rt.cfg.Check.BandOp == "<=" || rt.cfg.Check.BandOp == ">="
 	type point struct {
 		members []int // indices into members
 		vals    []float64
 	}
 	var points []point
 	for _, mi := range idx {
-		o := cfg.Check.Band(members[mi])
-		v := sign * cfg.RepairAttr(members[mi])
+		o := rt.band[members[mi]]
+		v := sign * rt.repair[members[mi]]
 		if poolTies && len(points) > 0 {
 			last := points[len(points)-1].members[0]
-			if cfg.Check.Band(members[last]) == o {
+			if rt.band[members[last]] == o {
 				p := &points[len(points)-1]
 				p.members = append(p.members, mi)
 				p.vals = append(p.vals, v)
@@ -479,28 +592,23 @@ func chainFit(members []types.Value, cfg DCRepairConfig) []float64 {
 // clamped into its interval and kept consistent with later clamped tuples by
 // a running minimum. Returns nil when the shape does not apply (non-strict
 // band ops let order-ties violate both ways, which clamping cannot fix).
-func clampFit(members []types.Value, cfg DCRepairConfig, intervals map[string]interval) []float64 {
-	if cfg.Check.BandOp != "<" && cfg.Check.BandOp != ">" {
+func clampFit(members []int32, idx []int, rt *repairTuples, intervals []interval) []float64 {
+	if rt.cfg.Check.BandOp != "<" && rt.cfg.Check.BandOp != ">" {
 		return nil
 	}
-	idx := orderedIdx(members, cfg)
-	sign, gap := repairDirection(cfg)
+	sign, gap := repairDirection(rt.cfg)
 
 	out := make([]float64, len(members))
 	runmin := math.Inf(1)
 	for i := len(idx) - 1; i >= 0; i-- {
 		mi := idx[i]
 		m := members[mi]
-		old := sign * cfg.RepairAttr(m)
+		old := sign * rt.repair[m]
 		// The constrained-side bound in transformed space: hi for the
 		// ascending direction, −lo for the descending one.
-		cap := math.Inf(1)
-		if iv, ok := intervals[types.Key(m)]; ok {
-			if sign > 0 {
-				cap = iv.hi
-			} else {
-				cap = -iv.lo
-			}
+		cap := intervals[m].hi
+		if sign < 0 {
+			cap = -intervals[m].lo
 		}
 		if math.IsInf(cap, 1) {
 			// Pure t2 role: untouched, and not a bound for earlier tuples
@@ -523,22 +631,22 @@ func lowerMedian(vs []float64) float64 {
 	return s[(len(s)-1)/2]
 }
 
-// ApplyValueRepairs rewrites the named numeric column using the per-tuple
-// repair map (tuple canonical key → new value), returning the repaired
-// dataset and the number of records changed. It is the numeric sibling of
-// ApplyRepairs.
-func ApplyValueRepairs(ds *engine.Dataset, col string, repairs map[string]float64) (*engine.Dataset, int64) {
+// ApplyValueRepairs rewrites the named numeric column of every row repl
+// accepts with the value it returns, and reports the repaired dataset and the
+// number of records changed. It is the numeric sibling of ApplyRepairs. repl
+// runs on the engine's workers and must be safe for concurrent use.
+func ApplyValueRepairs(ds *engine.Dataset, col string, repl func(types.Value) (float64, bool)) (*engine.Dataset, int64) {
 	var changed atomic.Int64
 	out := ds.MapPartitions("dcrepair:apply:"+col, func(_ int, part []types.Value) []types.Value {
 		res := make([]types.Value, len(part))
 		var local int64
 		for i, v := range part {
-			repl, ok := repairs[types.Key(v)]
+			to, ok := repl(v)
 			if !ok {
 				res[i] = v
 				continue
 			}
-			w, rewritten := rewriteValueCol(v, col, repl)
+			w, rewritten := rewriteValueCol(v, col, to)
 			res[i] = w
 			if rewritten {
 				local++
@@ -551,7 +659,7 @@ func ApplyValueRepairs(ds *engine.Dataset, col string, repairs map[string]float6
 }
 
 // rewriteValueCol returns v with the named numeric column replaced — the
-// single rewrite rule ApplyValueRepairs applies and repairRound's new-key
+// single rewrite rule ApplyValueRepairs applies and repairRound's new-tuple
 // computation must mirror exactly. Non-records and records without the
 // column come back unchanged (rewritten=false).
 func rewriteValueCol(v types.Value, col string, repl float64) (types.Value, bool) {

@@ -99,12 +99,20 @@ func TestRepairDCIntervals(t *testing.T) {
 		{li(1, 10, 0.09), li(3, 30, 0.03)},
 	}
 	cfg := ruleψConfig(100)
-	ivs := repairIntervals(pairs, cfg)
-	t1 := ivs[types.Key(li(1, 10, 0.09))]
+	rt := &repairTuples{tab: types.NewTupleTable(), cfg: &cfg}
+	ivs := repairIntervals(rt.intern(pairs), rt)
+	id := func(v types.Value) int32 {
+		id, ok := rt.tab.ByKey(types.Key(v))
+		if !ok {
+			t.Fatalf("tuple %s not interned", v)
+		}
+		return id
+	}
+	t1 := ivs[id(li(1, 10, 0.09))]
 	if !math.IsInf(t1.lo, -1) || t1.hi != 0.03 {
 		t.Fatalf("t1 interval = [%v, %v], want (-Inf, 0.03]", t1.lo, t1.hi)
 	}
-	p2 := ivs[types.Key(li(2, 20, 0.05))]
+	p2 := ivs[id(li(2, 20, 0.05))]
 	if p2.lo != 0.09 || !math.IsInf(p2.hi, 1) {
 		t.Fatalf("partner interval = [%v, %v], want [0.09, +Inf)", p2.lo, p2.hi)
 	}
@@ -263,8 +271,8 @@ func TestApplyValueRepairs(t *testing.T) {
 	ctx := engine.NewContext(2)
 	rows := []types.Value{li(1, 10, 0.09), li(2, 20, 0.07)}
 	ds := engine.FromValues(ctx, rows)
-	out, changed := ApplyValueRepairs(ds, "discount", map[string]float64{
-		types.Key(rows[0]): 0.01,
+	out, changed := ApplyValueRepairs(ds, "discount", func(v types.Value) (float64, bool) {
+		return 0.01, v.Field("id").Int() == 1
 	})
 	if changed != 1 {
 		t.Fatalf("changed = %d, want 1", changed)
@@ -289,7 +297,13 @@ func TestLowerMedianAndIsotonic(t *testing.T) {
 	// solveCluster on an already monotone chain is the identity.
 	cfg := ruleψConfig(100)
 	members := []types.Value{li(1, 10, 0.01), li(2, 20, 0.02), li(3, 30, 0.03)}
-	fits := solveCluster(members, cfg, map[string]interval{})
+	rt := &repairTuples{tab: types.NewTupleTable(), cfg: &cfg}
+	ids := make([]int32, len(members))
+	for i, m := range members {
+		ids[i] = rt.tab.Intern(m)
+	}
+	rt.sync()
+	fits := solveCluster(ids, rt, repairIntervals(nil, rt))
 	for i, f := range fits {
 		if f != members[i].Field("discount").Float() {
 			t.Fatalf("monotone chain modified: %v", fits)
@@ -324,6 +338,54 @@ func TestDCCheckUnknownBandOpDisablesPruning(t *testing.T) {
 				t.Fatalf("strategy %v with unknown BandOp %q pruned incorrectly: %d pairs, want %d",
 					s, op, got, want)
 			}
+		}
+	}
+}
+
+// TestRepairDCValueIdenticalRows: identical rows are one tuple. Two
+// value-identical violating rows share one tuple id, so they get one
+// RepairEntry and the same repaired value — including a twin that the seeded
+// pairs never mention, which only the dataset pass can find.
+func TestRepairDCValueIdenticalRows(t *testing.T) {
+	for _, seeded := range []bool{false, true} {
+		a, twin := li(1, 10, 0.09), li(1, 10, 0.09)
+		b, c := li(2, 20, 0.05), li(3, 30, 0.03)
+		cfg := ruleψConfig(100)
+		if seeded {
+			cfg.InitialPairs = [][2]types.Value{{a, b}, {a, c}, {b, c}}
+		}
+		ctx := engine.NewContext(2)
+		res, err := RepairDC(engine.FromValues(ctx, []types.Value{a, b, twin, c}), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Remaining != 0 {
+			t.Fatalf("seeded=%v: remaining = %d", seeded, res.Remaining)
+		}
+		var entries int
+		for _, e := range res.Entries {
+			if e.Key == types.Key(a) {
+				entries++
+			}
+		}
+		if entries != 1 {
+			t.Fatalf("seeded=%v: %d entries for the duplicated tuple, want 1: %+v", seeded, entries, res.Entries)
+		}
+		var got []float64
+		for _, v := range res.Repaired.Collect() {
+			if v.Field("id").Int() == 1 {
+				got = append(got, v.Field("discount").Float())
+			}
+		}
+		if len(got) != 2 || got[0] != got[1] || got[0] == 0.09 {
+			t.Fatalf("seeded=%v: twins repaired to %v, want one shared new value", seeded, got)
+		}
+		leftover, err := DCCheck(res.Repaired, cfg.Check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := leftover.Count(); n != 0 {
+			t.Fatalf("seeded=%v: re-check found %d violations", seeded, n)
 		}
 	}
 }

@@ -7,6 +7,12 @@
 // §6 (grouping shuffle, theta-join algorithm), which is how the Spark SQL
 // and BigDansing baselines reuse the same operation logic while exhibiting
 // their published performance behaviour.
+//
+// Operations that ask "is this the same tuple?" many times — duplicate
+// clustering and denial-constraint repair — go through a types.TupleTable:
+// tuples are interned to dense ids once, and the union-find, the repair
+// intervals and the fixpoint's dirty sets are indexed by id. No loop in this
+// package re-encodes a record to compare it.
 package cleaning
 
 import (

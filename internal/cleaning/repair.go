@@ -13,19 +13,16 @@ import (
 // Input records are {a, b} pairs as produced by Dedup; the result is one
 // sorted cluster per real-world entity, clusters sorted by first member.
 func DupClusters(pairs []types.Value) [][]types.Value {
+	tab := types.NewTupleTable()
 	uf := NewUnionFind()
-	byKey := map[string]types.Value{}
 	for _, p := range pairs {
-		a, b := p.Field("a"), p.Field("b")
-		ka, kb := types.Key(a), types.Key(b)
-		byKey[ka], byKey[kb] = a, b
-		uf.Union(ka, kb)
+		uf.Union(tab.Intern(p.Field("a")), tab.Intern(p.Field("b")))
 	}
 	var out [][]types.Value
-	for _, members := range uf.Groups() {
+	for _, members := range uf.Groups(tab.IDsByKey()) {
 		cluster := make([]types.Value, len(members))
-		for i, k := range members {
-			cluster[i] = byKey[k]
+		for i, id := range members {
+			cluster[i] = tab.Value(id)
 		}
 		out = append(out, cluster)
 	}

@@ -2,6 +2,7 @@ package cleaning
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -200,5 +201,27 @@ func TestEndToEndDetectAndRepair(t *testing.T) {
 	res2 := TermValidate(healed, cfg)
 	if len(res2.Repairs) != 0 {
 		t.Fatalf("healed dataset still has repairs: %v", res2.Repairs)
+	}
+}
+
+// TestUnionFindGroupsFollowOrder: Groups partitions exactly the ids it is
+// handed, members in the given sequence and groups by first member.
+func TestUnionFindGroupsFollowOrder(t *testing.T) {
+	uf := NewUnionFind()
+	uf.Union(4, 1)
+	uf.Union(1, 6)
+	uf.Union(3, 0)
+	got := uf.Groups([]int32{6, 3, 5, 4, 0, 1})
+	want := [][]int32{{6, 4, 1}, {3, 0}, {5}}
+	if len(got) != len(want) {
+		t.Fatalf("groups = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("groups = %v, want %v", got, want)
+		}
+	}
+	if uf.Find(2) != 2 {
+		t.Fatal("an id never united is not its own root")
 	}
 }

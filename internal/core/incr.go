@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -156,15 +158,16 @@ func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string
 	job := pr.pipeline.Ctx.Job(goctx)
 	ds := src.WithContext(job)
 	freshAt := func(i int, _ types.Value) bool { return i >= base.BaseRows }
+	tab := types.NewTupleTable()
 
 	var merged []types.Value
-	var keys []string
+	var keys pairKeys
 	var err error
 	switch info.Kind {
 	case IncrDenial:
-		merged, keys, err = pr.denialDeltaRows(ds, freshAt, base, params)
+		merged, keys, err = pr.denialDeltaRows(tab, ds, freshAt, base, params)
 	case IncrDedup:
-		merged, keys, err = pr.dedupDeltaRows(ds, freshAt, base, params)
+		merged, keys, err = pr.dedupDeltaRows(tab, ds, freshAt, base, params)
 	}
 	if err == nil {
 		err = job.Err()
@@ -192,7 +195,7 @@ func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string
 			ex.AddBuiltin(name, fn)
 		}
 		ex.SetParams(params)
-		sum, err := pr.runRepair(ex, &pr.tasks[0], pr.plans[0], merged, map[string]*engine.Dataset{}, params)
+		sum, err := pr.runRepair(ex, tab, &pr.tasks[0], pr.plans[0], merged, map[string]*engine.Dataset{}, params)
 		if err != nil {
 			pr.pipeline.Ctx.Metrics().Merge(job.Metrics())
 			return nil, err
@@ -220,74 +223,78 @@ func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string
 // denialDeltaRows merges the cached violation pairs with the fresh-touching
 // ones (bag semantics: DENIAL emits every violating index pair). Both inputs
 // are key-sorted runs — the cached view by the canonical-ordering contract,
-// the fresh pairs by an explicit sort — so the merge re-serializes only the
-// fresh pairs, not the whole cached output.
-func (pr *Prepared) denialDeltaRows(ds *engine.Dataset, freshAt func(int, types.Value) bool, base DeltaBase, params map[string]types.Value) ([]types.Value, []string, error) {
+// the fresh pairs by an explicit sort — so the merge keys only the fresh
+// pairs, not the whole cached output.
+func (pr *Prepared) denialDeltaRows(tab *types.TupleTable, ds *engine.Dataset, freshAt func(int, types.Value) bool, base DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
 	spec := pr.tasks[0].Denial
 	cfg, err := compileDenialCheck(spec, pr.pipeline.Config.Theta, params)
 	if err != nil {
-		return nil, nil, err
+		return nil, pairKeys{}, err
 	}
 	pairs, err := cleaning.DeltaDCPairs(ds, freshAt, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, pairKeys{}, err
 	}
 	prior := base.Res.Tasks[0].Output.Rows()
-	priorKeys := base.Res.priorKeys(prior)
+	priorKeys := base.Res.priorKeys(tab, prior)
 	fresh := make([]types.Value, len(pairs))
 	for i, p := range pairs {
 		fresh[i] = types.NewRecord(pairSchema, []types.Value{p[0], p[1]})
 	}
-	freshKeys := sortRowsByKey(fresh)
-	rows, keys := mergeSortedRuns(prior, priorKeys, fresh, freshKeys)
+	freshKeys := sortRowsByKey(tab, fresh)
+	rows, keys := mergeSortedRuns(tab, prior, priorKeys, fresh, freshKeys)
 	return rows, keys, nil
 }
 
 // dedupDeltaRows merges the cached duplicate pairs with the fresh-touching
 // ones (set semantics: a pair reported for the base is skipped even when a
 // value-identical fresh row rediscovers it). As with denialDeltaRows, only
-// the fresh pairs are serialized and sorted; the cached run merges by its
-// stored keys.
-func (pr *Prepared) dedupDeltaRows(ds *engine.Dataset, freshAt func(int, types.Value) bool, base DeltaBase, params map[string]types.Value) ([]types.Value, []string, error) {
+// the fresh pairs are keyed and sorted; the cached run merges by its stored
+// keys.
+func (pr *Prepared) dedupDeltaRows(tab *types.TupleTable, ds *engine.Dataset, freshAt func(int, types.Value) bool, base DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
 	d, err := pr.compileDedupDelta(params)
 	if err != nil {
-		return nil, nil, err
+		return nil, pairKeys{}, err
 	}
 	pairs, err := d.Pairs(ds, freshAt)
 	if err != nil {
-		return nil, nil, err
+		return nil, pairKeys{}, err
 	}
 	prior := base.Res.Tasks[0].Output.Rows()
-	priorKeys := base.Res.priorKeys(prior)
-	seen := make(map[string]bool, len(priorKeys))
-	for _, k := range priorKeys {
-		seen[k] = true
+	priorKeys := base.Res.priorKeys(tab, prior)
+	// A candidate is a repeat when the base reported it — both members' keys
+	// are in the prior pool and that pair of pool positions is a prior row —
+	// or when an earlier candidate had the same two tuples.
+	reported := make(map[[2]int32]bool, len(priorKeys.of))
+	for _, m := range priorKeys.of {
+		reported[m] = true
 	}
+	found := map[[2]int32]bool{}
 	fresh := make([]types.Value, 0, len(pairs))
 	for _, p := range pairs {
 		r := types.NewRecord(pairSchema, []types.Value{p[0], p[1]})
-		if k := types.Key(r); !seen[k] {
-			seen[k] = true
-			fresh = append(fresh, r)
+		a, b := pairIDs(tab, r)
+		pa, inA := slices.BinarySearch(priorKeys.pool, tab.Key(a))
+		pb, inB := slices.BinarySearch(priorKeys.pool, tab.Key(b))
+		if found[[2]int32{a, b}] || (inA && inB && reported[[2]int32{int32(pa), int32(pb)}]) {
+			continue
 		}
+		found[[2]int32{a, b}] = true
+		fresh = append(fresh, r)
 	}
-	freshKeys := sortRowsByKey(fresh)
-	rows, keys := mergeSortedRuns(prior, priorKeys, fresh, freshKeys)
+	freshKeys := sortRowsByKey(tab, fresh)
+	rows, keys := mergeSortedRuns(tab, prior, priorKeys, fresh, freshKeys)
 	return rows, keys, nil
 }
 
 // priorKeys returns the canonical keys of the cached result's primary rows,
-// reusing the keys recorded at sort time when they match and recomputing
-// them otherwise (a defensive path for results that lost their keys).
-func (r *Result) priorKeys(rows []types.Value) []string {
-	if len(r.canonKeys) == len(rows) {
+// reusing the keys recorded at sort time when they match and rebuilding them
+// otherwise (a defensive path for results that lost their keys).
+func (r *Result) priorKeys(tab *types.TupleTable, rows []types.Value) pairKeys {
+	if len(r.canonKeys.of) == len(rows) {
 		return r.canonKeys
 	}
-	keys := make([]string, len(rows))
-	for i, row := range rows {
-		keys[i] = types.Key(row)
-	}
-	return keys
+	return keyRows(tab, rows)
 }
 
 // mergeSortedRuns merges two key-sorted runs into one canonical ordering.
@@ -295,26 +302,52 @@ func (r *Result) priorKeys(rows []types.Value) []string {
 // mean equal values, so the choice is unobservable. If either run is
 // unexpectedly out of order (a corrupted cache), the result degrades to a
 // full sort rather than a wrong answer.
-func mergeSortedRuns(a []types.Value, aKeys []string, b []types.Value, bKeys []string) ([]types.Value, []string) {
-	if !sort.StringsAreSorted(aKeys) || !sort.StringsAreSorted(bKeys) {
+func mergeSortedRuns(tab *types.TupleTable, a []types.Value, aKeys pairKeys, b []types.Value, bKeys pairKeys) ([]types.Value, pairKeys) {
+	if !aKeys.sorted() || !bKeys.sorted() {
 		rows := append(append(make([]types.Value, 0, len(a)+len(b)), a...), b...)
-		return rows, sortRowsByKey(rows)
+		return rows, sortRowsByKey(tab, rows)
 	}
+	// Merge the two pools first; every member then has one position in the
+	// merged pool and the rows merge on integers.
+	ap, bp := aKeys.pool, bKeys.pool
+	pool := make([]string, 0, len(ap)+len(bp))
+	toA, toB := make([]int32, len(ap)), make([]int32, len(bp))
+	for i, j := 0, 0; i < len(ap) || j < len(bp); {
+		at := int32(len(pool))
+		switch {
+		case j == len(bp) || (i < len(ap) && ap[i] < bp[j]):
+			pool, toA[i] = append(pool, ap[i]), at
+			i++
+		case i == len(ap) || bp[j] < ap[i]:
+			pool, toB[j] = append(pool, bp[j]), at
+			j++
+		default: // one tuple, keyed in both runs
+			pool, toA[i], toB[j] = append(pool, ap[i]), at, at
+			i, j = i+1, j+1
+		}
+	}
+	moved := func(to []int32, m [2]int32) [2]int32 { return [2]int32{to[m[0]], to[m[1]]} }
+
 	rows := make([]types.Value, 0, len(a)+len(b))
-	keys := make([]string, 0, len(a)+len(b))
+	of := make([][2]int32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if aKeys[i] <= bKeys[j] {
-			rows, keys = append(rows, a[i]), append(keys, aKeys[i])
+		ka, kb := moved(toA, aKeys.of[i]), moved(toB, bKeys.of[j])
+		if comparePair(ka, kb) <= 0 {
+			rows, of = append(rows, a[i]), append(of, ka)
 			i++
 		} else {
-			rows, keys = append(rows, b[j]), append(keys, bKeys[j])
+			rows, of = append(rows, b[j]), append(of, kb)
 			j++
 		}
 	}
-	rows = append(append(rows, a[i:]...), b[j:]...)
-	keys = append(append(keys, aKeys[i:]...), bKeys[j:]...)
-	return rows, keys
+	for ; i < len(a); i++ {
+		rows, of = append(rows, a[i]), append(of, moved(toA, aKeys.of[i]))
+	}
+	for ; j < len(b); j++ {
+		rows, of = append(rows, b[j]), append(of, moved(toB, bKeys.of[j]))
+	}
+	return rows, pairKeys{pool: pool, of: of}
 }
 
 // pairSchema is the {a, b} record shape of DENIAL and DEDUP task output.
@@ -474,28 +507,85 @@ func (pr *Prepared) canonicalPairTask() bool {
 	return pr.tasks[0].Denial != nil || pr.tasks[0].Dedup != nil
 }
 
-// sortRowsByKey orders rows by their canonical key encoding and returns the
-// keys in the sorted order. Equal keys mean equal values, so the order is
-// total and any duplicates are interchangeable. Keys are computed once per
-// row, not per comparison — pair rows serialize two full records each, which
-// made comparator-time encoding the dominant cost of large DENIAL/DEDUP
-// outputs.
-func sortRowsByKey(rows []types.Value) []string {
-	keyed := make([]struct {
-		key string
-		row types.Value
-	}, len(rows))
+// pairKeys holds the canonical keys of a run of DENIAL/DEDUP pair rows, in
+// row order, without a string per row: pool is the distinct member key
+// strings in ascending order — each built once per execution by the tuple
+// table — and of[i] the pool positions of row i's two members. Ordering rows
+// by (of[i][0], of[i][1]) is ordering them by the whole row's types.Key,
+// "(" a "," b ")", because a complete key is never continued by a byte at or
+// below ',' (FuzzPairKeyOrder).
+type pairKeys struct {
+	pool []string
+	of   [][2]int32
+}
+
+// at returns row i's two member keys.
+func (k pairKeys) at(i int) (a, b string) { return k.pool[k.of[i][0]], k.pool[k.of[i][1]] }
+
+// sorted reports whether the pool and the rows are in ascending key order.
+func (k pairKeys) sorted() bool {
+	return slices.IsSorted(k.pool) && slices.IsSortedFunc(k.of, comparePair)
+}
+
+func comparePair(x, y [2]int32) int {
+	if c := cmp.Compare(x[0], y[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(x[1], y[1])
+}
+
+// pairIDs interns the two members of one pair row in the execution's tuple
+// table. A row that is not a two-field record is its own, single member.
+func pairIDs(tab *types.TupleTable, row types.Value) (a, b int32) {
+	rec := row.Record()
+	if rec == nil || len(rec.Fields) != 2 {
+		id := tab.Intern(row)
+		return id, id
+	}
+	return tab.Intern(rec.Fields[0]), tab.Intern(rec.Fields[1])
+}
+
+// keyRows keys pair rows, in the order given, through the execution's tuple
+// table: each member tuple is encoded once per execution however many pairs
+// it appears in, the table's ids are ranked by key string once, and a row's
+// key is its members' ranks.
+func keyRows(tab *types.TupleTable, rows []types.Value) pairKeys {
+	of := make([][2]int32, len(rows))
 	for i, r := range rows {
-		keyed[i] = struct {
-			key string
-			row types.Value
-		}{types.Key(r), r}
+		of[i][0], of[i][1] = pairIDs(tab, r)
 	}
-	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
-	keys := make([]string, len(rows))
-	for i := range keyed {
-		rows[i], keys[i] = keyed[i].row, keyed[i].key
+	byKey := tab.IDsByKey()
+	pool := make([]string, len(byKey))
+	rank := make([]int32, len(byKey))
+	for r, id := range byKey {
+		pool[r], rank[id] = tab.Key(id), int32(r)
 	}
+	for i, m := range of {
+		of[i] = [2]int32{rank[m[0]], rank[m[1]]}
+	}
+	return pairKeys{pool: pool, of: of}
+}
+
+// sortRowsByKey orders pair rows by their canonical keys, in place, and
+// returns the keys in the sorted order. Equal keys mean equal values, so the
+// order is total and any duplicates are interchangeable. The sort compares
+// integer ranks; no comparator touches a key string.
+func sortRowsByKey(tab *types.TupleTable, rows []types.Value) pairKeys {
+	keys := keyRows(tab, rows)
+	type ranked struct {
+		key [2]int32
+		row int32
+	}
+	rs := make([]ranked, len(rows))
+	for i, m := range keys.of {
+		rs[i] = ranked{m, int32(i)}
+	}
+	slices.SortFunc(rs, func(x, y ranked) int { return comparePair(x.key, y.key) })
+	sorted := make([]types.Value, len(rows))
+	for i, r := range rs {
+		sorted[i], keys.of[i] = rows[r.row], r.key
+	}
+	copy(rows, sorted)
 	return keys
 }
 

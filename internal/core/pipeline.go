@@ -149,8 +149,8 @@ type Result struct {
 	// canonKeys holds the canonical key of each primary-task output row, in
 	// row order, when the task is a canonically-ordered DENIAL/DEDUP pair
 	// task. A delta merge against this result reuses them to merge sorted
-	// runs instead of re-serializing every cached row (see incr.go).
-	canonKeys []string
+	// runs instead of re-keying every cached row (see incr.go).
+	canonKeys pairKeys
 }
 
 // Primary returns the primary output view: the combined records when
@@ -472,6 +472,10 @@ func (pr *Prepared) executeWith(goctx context.Context, params map[string]types.V
 
 func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params map[string]types.Value) (*Result, error) {
 	res := &Result{Explanation: pr.explain, workers: job.Workers}
+	// The execution's tuple table: every tuple in a pair row is encoded once,
+	// for the canonical ordering and the REPAIR fixpoint alike. It dies with
+	// this call; only key strings it built live on, in canonKeys and entries.
+	tab := types.NewTupleTable()
 	if pr.combined != nil {
 		d, err := ex.Exec(pr.combined)
 		if err != nil {
@@ -497,7 +501,7 @@ func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params m
 				// (see incr.go). Pair rows are row-backed, so flattening
 				// here costs what the first consumer would have paid.
 				rows := unwrapOut(d.Collect())
-				res.canonKeys = sortRowsByKey(rows)
+				res.canonKeys = sortRowsByKey(tab, rows)
 				out = NewRowset(partitionRows(rows, job.Workers))
 			case d.Batches() != nil:
 				// Columnar result: defer row boxing until a consumer asks.
@@ -523,7 +527,7 @@ func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params m
 		// plan's violation pairs seed the relaxation loop, and successive
 		// REPAIR clauses on the same source compose via the healed map.
 		if t.Denial != nil && t.Denial.RepairAttr != nil {
-			sum, err := pr.runRepair(ex, &pr.tasks[i], pr.plans[i], out.Rows(), healed, params)
+			sum, err := pr.runRepair(ex, tab, &pr.tasks[i], pr.plans[i], out.Rows(), healed, params)
 			if err != nil {
 				return nil, err
 			}

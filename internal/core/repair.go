@@ -37,8 +37,10 @@ type RepairSummary struct {
 // and the cleaning-layer relaxation loop does the rest. When an earlier
 // REPAIR clause already healed the same source, the repair starts from those
 // healed rows instead — clauses compose — and the plan seed (computed
-// against the original data) is discarded in favor of a fresh check.
-func (pr *Prepared) runRepair(ex *physical.Executor, t *lang.Task, plan algebra.Plan, seed []types.Value, healed map[string]*engine.Dataset, params map[string]types.Value) (*RepairSummary, error) {
+// against the original data) is discarded in favor of a fresh check. tab is
+// the execution's tuple table: the pair members the canonical ordering
+// already interned are the tuples the loop starts from.
+func (pr *Prepared) runRepair(ex *physical.Executor, tab *types.TupleTable, t *lang.Task, plan algebra.Plan, seed []types.Value, healed map[string]*engine.Dataset, params map[string]types.Value) (*RepairSummary, error) {
 	spec := t.Denial
 	src, ok := pr.sources[spec.Source]
 	if !ok {
@@ -73,7 +75,7 @@ func (pr *Prepared) runRepair(ex *physical.Executor, t *lang.Task, plan algebra.
 		cfg.InitialPairs = pairs
 	}
 
-	res, err := cleaning.RepairDC(src, cfg)
+	res, err := cleaning.RepairDCIn(tab, src, cfg)
 	if err != nil {
 		return nil, err
 	}

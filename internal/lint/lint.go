@@ -1,7 +1,7 @@
-// Package lint assembles the cleanlint suite: the five analyzers that keep
+// Package lint assembles the cleanlint suite: the six analyzers that keep
 // the engine honest about its cost model (metricscharge), cancellation
 // (ctxcancel), dictionary encoding (dictcode), sink lifecycle (sinkrelease),
-// and catalog locking (locksnapshot). The Check driver runs every applicable
+// catalog locking (locksnapshot), and key encoding in sorts (keysort). The Check driver runs every applicable
 // analyzer over a set of loaded packages and filters diagnostics through
 // //lint:ignore suppression comments.
 package lint
@@ -15,6 +15,7 @@ import (
 	"cleandb/internal/lint/analysis"
 	"cleandb/internal/lint/ctxcancel"
 	"cleandb/internal/lint/dictcode"
+	"cleandb/internal/lint/keysort"
 	"cleandb/internal/lint/load"
 	"cleandb/internal/lint/locksnapshot"
 	"cleandb/internal/lint/metricscharge"
@@ -28,6 +29,7 @@ var Analyzers = []*analysis.Analyzer{
 	dictcode.Analyzer,
 	sinkrelease.Analyzer,
 	locksnapshot.Analyzer,
+	keysort.Analyzer,
 }
 
 // ByName returns the analyzer with the given name, or nil.

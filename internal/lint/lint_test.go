@@ -48,10 +48,10 @@ func TestSuppression(t *testing.T) {
 
 // TestByName spot-checks the registry.
 func TestByName(t *testing.T) {
-	if len(lint.Analyzers) != 5 {
-		t.Fatalf("suite has %d analyzers, want 5", len(lint.Analyzers))
+	if len(lint.Analyzers) != 6 {
+		t.Fatalf("suite has %d analyzers, want 6", len(lint.Analyzers))
 	}
-	for _, name := range []string{"metricscharge", "ctxcancel", "dictcode", "sinkrelease", "locksnapshot"} {
+	for _, name := range []string{"metricscharge", "ctxcancel", "dictcode", "sinkrelease", "locksnapshot", "keysort"} {
 		if lint.ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}

@@ -105,7 +105,7 @@ func NormalizeGrouping(v types.Value) types.Value {
 	out := make([]types.Value, 0, len(sorted))
 	for _, k := range sorted {
 		group := byKey[k]
-		sort.Slice(group, func(i, j int) bool { return types.Key(group[i]) < types.Key(group[j]) })
+		types.SortByKey(group)
 		out = append(out, types.NewRecord(GroupSchema, []types.Value{keys[k], types.ListOf(group)}))
 	}
 	return types.ListOf(out)

@@ -20,7 +20,6 @@ package physical
 
 import (
 	"fmt"
-	"sort"
 
 	"cleandb/internal/algebra"
 	"cleandb/internal/data"
@@ -845,6 +844,6 @@ func (ex *Executor) CollectSorted(p algebra.Plan) ([]types.Value, error) {
 		return nil, err
 	}
 	out := d.Collect()
-	sort.Slice(out, func(i, j int) bool { return types.Key(out[i]) < types.Key(out[j]) })
+	types.SortByKey(out)
 	return out, nil
 }

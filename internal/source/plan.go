@@ -41,9 +41,10 @@ type ScanPlan interface {
 	SetTypes(votes []data.ColVote) error
 	// Build returns chunk i's rows.
 	Build(ctx context.Context, i int) ([]types.Value, error)
-	// Finish postprocesses the fully assembled partition vector (JSON drops
-	// whitespace-only partitions) and records the source's tail-scan state.
-	Finish(full [][]types.Value) ([][]types.Value, error)
+	// Finish sees the fully assembled partition vector, records the source's
+	// tail-scan state, and names the chunks to leave out of the result (JSON
+	// drops whitespace-only ones); nil drops none.
+	Finish(full [][]types.Value) (drop []bool, err error)
 }
 
 // PartitionedScanner is implemented by the sources whose Scan is plan-driven
@@ -55,7 +56,9 @@ type PartitionedScanner interface {
 }
 
 // Gathered counts what a masked scan received from peers instead of parsing
-// it here. It is zero whenever every chunk was built locally.
+// it here: Chunks over the partitions the scan returned (a gathered chunk
+// Finish dropped is no partition of anyone's), Bytes over every chunk. It is
+// zero whenever every chunk was built locally.
 type Gathered struct {
 	Chunks int
 	Bytes  int64
@@ -111,7 +114,8 @@ func ScanMasked(ctx context.Context, s PartitionedScanner, parts int, ex engine.
 	if err != nil {
 		return nil, Gathered{}, err
 	}
-	if full, err = plan.Finish(full); err != nil {
+	drop, err := plan.Finish(full)
+	if err != nil {
 		return nil, Gathered{}, err
 	}
 	mine := make([]bool, n) // chunks parsed here, in either round
@@ -119,13 +123,20 @@ func ScanMasked(ctx context.Context, s PartitionedScanner, parts int, ex engine.
 		mine[i] = true
 	}
 	var g Gathered
-	for i := range mine {
+	kept := full[:0]
+	for i, part := range full {
 		if !mine[i] {
-			g.Chunks++
 			g.Bytes += plan.ChunkBytes(i)
 		}
+		if drop != nil && drop[i] {
+			continue
+		}
+		kept = append(kept, part)
+		if !mine[i] {
+			g.Chunks++
+		}
 	}
-	return full, g, nil
+	return kept, g, nil
 }
 
 // scanLocal is Scan for the plan-driven formats: every chunk built here.
@@ -249,12 +260,12 @@ func (p *csvPlan) Build(ctx context.Context, i int) ([]types.Value, error) {
 
 // Finish records the tail state: the header, the merged types with their
 // voted flags, and the whole input as the consumed high-water mark.
-func (p *csvPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
+func (p *csvPlan) Finish([][]types.Value) ([]bool, error) {
 	if p.header == nil { // blank input: nothing to continue a tail from
 		p.s.mu.Lock()
 		p.s.state = nil
 		p.s.mu.Unlock()
-		return full, nil
+		return nil, nil
 	}
 	p.mu.Lock()
 	colTypes, voted := p.colTypes, p.voted
@@ -276,7 +287,7 @@ func (p *csvPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
 		consumed: int64(len(p.buf)),
 	}
 	p.s.mu.Unlock()
-	return full, nil
+	return nil, nil
 }
 
 // rawChunk parses chunk i's raw cells, caching them for the build round.
@@ -343,17 +354,15 @@ func (p *jsonPlan) Build(ctx context.Context, i int) ([]types.Value, error) {
 
 // Finish records the tail state and drops the partitions blank lines left
 // empty, so partition counts reflect data, not whitespace.
-func (p *jsonPlan) Finish(full [][]types.Value) ([][]types.Value, error) {
+func (p *jsonPlan) Finish(full [][]types.Value) ([]bool, error) {
 	p.s.mu.Lock()
 	p.s.state = &jsonState{cache: p.cache, consumed: int64(len(p.buf)), lines: bytes.Count(p.buf, []byte{'\n'})}
 	p.s.mu.Unlock()
-	kept := full[:0]
-	for _, part := range full {
-		if len(part) > 0 {
-			kept = append(kept, part)
-		}
+	drop := make([]bool, len(full))
+	for i, part := range full {
+		drop[i] = len(part) == 0
 	}
-	return kept, nil
+	return drop, nil
 }
 
 // ---- colbin ----
@@ -461,4 +470,4 @@ func (p *colbinPlan) decode(ctx context.Context) error {
 	return p.err
 }
 
-func (p *colbinPlan) Finish(full [][]types.Value) ([][]types.Value, error) { return full, nil }
+func (p *colbinPlan) Finish([][]types.Value) ([]bool, error) { return nil, nil }

@@ -105,7 +105,7 @@ func (x splitSeat) Gather(stage string, n int, local map[int][]types.Value) ([][
 
 // scanSplit runs two members' ScanMasked concurrently through a splitHub and
 // returns both partition vectors.
-func scanSplit(t *testing.T, mk func() PartitionedScanner, parts int, owner func(stage string, i, n int) int) (out [2][][]types.Value) {
+func scanSplit(t *testing.T, mk func() PartitionedScanner, parts int, owner func(stage string, i, n int) int) (out [2][][]types.Value, gathered [2]Gathered) {
 	t.Helper()
 	hub := newSplitHub(owner)
 	var errs [2]error
@@ -114,7 +114,7 @@ func scanSplit(t *testing.T, mk func() PartitionedScanner, parts int, owner func
 		wg.Add(1)
 		go func(m int) {
 			defer wg.Done()
-			out[m], _, errs[m] = ScanMasked(context.Background(), mk(), parts, splitSeat{hub, m}, "t")
+			out[m], gathered[m], errs[m] = ScanMasked(context.Background(), mk(), parts, splitSeat{hub, m}, "t")
 			if errs[m] != nil {
 				hub.abort(errs[m])
 			}
@@ -126,7 +126,7 @@ func scanSplit(t *testing.T, mk func() PartitionedScanner, parts int, owner func
 			t.Fatalf("parts=%d member %d: %v", parts, m, err)
 		}
 	}
-	return out
+	return out, gathered
 }
 
 // wantSameParts asserts partition-vector equality: same partition count, same
@@ -213,7 +213,7 @@ func TestCustodyPlanMatchesScan(t *testing.T) {
 		}
 		for _, parts := range []int{1, 3, 8, len(want) + 5} {
 			t.Run(fmt.Sprintf("%s/parts=%d", tc.name, parts), func(t *testing.T) {
-				out := scanSplit(t, func() PartitionedScanner { return tc.src(tc.in) }, parts, tc.owner)
+				out, _ := scanSplit(t, func() PartitionedScanner { return tc.src(tc.in) }, parts, tc.owner)
 				if len(out[0]) > parts {
 					t.Fatalf("%d partitions for parts=%d", len(out[0]), parts)
 				}
@@ -307,4 +307,35 @@ func TestCustodyPlanAdoptionReparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSameRows(t, again, first)
+}
+
+// TestGatheredCountsSurvivingChunks: a JSONL chunk of blank lines that a peer
+// owns is gathered and then dropped by Finish; it is no partition of the
+// result, so it must not count as a gathered one. On both members, the
+// partitions parsed here plus the partitions gathered are the partitions
+// returned.
+func TestGatheredCountsSurvivingChunks(t *testing.T) {
+	var recs strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&recs, "{\"k\":%d}\n", i)
+	}
+	third := recs.String()
+	in := []byte(third + strings.Repeat("\n", len(third)) + third)
+	// Chunks 0 and 2 hold the records, chunk 1 the blank lines; member 1 owns
+	// the blank chunk and the last one.
+	owner := func(_ string, i, _ int) int { return min(i, 1) }
+	out, gathered := scanSplit(t, func() PartitionedScanner { return JSONBytes(in) }, 3, owner)
+	wantOwned := [2]int{1, 1}
+	for m := range out {
+		if len(out[m]) != 2 {
+			t.Fatalf("member %d: %d partitions, want 2 (the blank chunk dropped)", m, len(out[m]))
+		}
+		if owned := len(out[m]) - gathered[m].Chunks; owned != wantOwned[m] || gathered[m].Chunks != 1 {
+			t.Fatalf("member %d: owned %d + gathered %d of %d partitions, want %d + 1",
+				m, owned, gathered[m].Chunks, len(out[m]), wantOwned[m])
+		}
+	}
+	if gathered[0].Bytes != int64(2*len(third)) || gathered[1].Bytes != int64(len(third)) {
+		t.Fatalf("gathered bytes = %d, %d; want %d, %d", gathered[0].Bytes, gathered[1].Bytes, 2*len(third), len(third))
+	}
 }

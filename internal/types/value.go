@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -349,6 +350,13 @@ func hashInto(h hasher, v Value) {
 
 // Key renders a canonical string key for grouping. Unlike String it is
 // unambiguous (strings are quoted) so distinct values yield distinct keys.
+//
+// Key is an O(size of v) encoding that allocates its result: it is meant for
+// keying a value once — a map insert, a decorate step before a sort, a
+// TupleTable intern. It is never for a comparator or a per-pair loop, where
+// one value is re-encoded per comparison or per pair it appears in; sort with
+// SortByKey, and identify repeated tuples through a TupleTable. cleanlint's
+// keysort analyzer rejects Key inside a sort comparator.
 func Key(v Value) string {
 	var sb strings.Builder
 	keyInto(&sb, v)
@@ -456,6 +464,24 @@ func SizeBytes(v Value) int {
 // SortValues sorts a slice of values in Compare order, in place.
 func SortValues(vs []Value) {
 	sort.Slice(vs, func(i, j int) bool { return Compare(vs[i], vs[j]) < 0 })
+}
+
+// SortByKey sorts a slice of values by canonical key, in place: decorate,
+// sort, undecorate, so each value is encoded once rather than twice per
+// comparison. Equal keys mean equal values, so the order is total.
+func SortByKey(vs []Value) {
+	type keyed struct {
+		key string
+		v   Value
+	}
+	ks := make([]keyed, len(vs))
+	for i, v := range vs {
+		ks[i] = keyed{Key(v), v}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i := range ks {
+		vs[i] = ks[i].v
+	}
 }
 
 // FieldsOf extracts the named fields from a record value, in order.

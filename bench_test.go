@@ -59,9 +59,15 @@ func BenchmarkFigure4NoiseAccuracy(b *testing.B) {
 
 func BenchmarkFigure5UnifiedCleaning(b *testing.B) {
 	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure5(s)
-	}
+	b.Run("zipf", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			experiments.Figure5(s)
+		}
+	})
+	b.Run("skewed", func(b *testing.B) {
+		benchStatement(b, s.Workers, skewedCustomers(s.Customers), unifiedStatement)
+	})
 }
 
 func BenchmarkTable4Transformations(b *testing.B) {
@@ -101,9 +107,19 @@ func BenchmarkFigure7DedupDBLP(b *testing.B) {
 
 func BenchmarkFigure8aDedupCustomer(b *testing.B) {
 	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure8a(s)
-	}
+	b.Run("zipf", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			experiments.Figure8a(s)
+		}
+	})
+	// The figure's table runs the hand-coded operator; the skewed arm runs
+	// the same duplicate elimination as a CleanM statement, the path whose
+	// pair enumeration must stay O(survivors) in memory.
+	b.Run("skewed", func(b *testing.B) {
+		benchStatement(b, s.Workers, skewedCustomers(s.Customers*2),
+			`SELECT * FROM customer c DEDUP(attribute, LD, 0.8, c.address, c.name, c.phone)`)
+	})
 }
 
 func BenchmarkFigure8bDedupMAG(b *testing.B) {
@@ -321,23 +337,55 @@ REPAIR(t1.discount)`)
 	})
 }
 
-func BenchmarkPipelineEndToEnd(b *testing.B) {
-	// The full stack: CleanM text → comprehension → algebra → physical →
-	// execution, on the running example's FD+FD+DEDUP query.
-	data := datagen.GenCustomer(datagen.CustomerConfig{Rows: 2000, DupRate: 0.1, MaxDups: 10, Seed: 1})
-	const query = `
+// unifiedStatement is the running example's FD+FD+DEDUP query (Figure 5).
+const unifiedStatement = `
 SELECT * FROM customer c
 FD(c.address, prefix(c.phone))
 FD(c.address, c.nationkey)
 DEDUP(attribute, LD, 0.8, c.address, c.name, c.phone)`
+
+// skewedBlock is the size of the one popular block skewedCustomers adds.
+const skewedBlock = 2000
+
+// skewedCustomers is the Zipf-duplicated customer table plus one block of
+// skewedBlock unrelated customers on a single address: 2M candidate pairs of
+// which next to none are similar, so the run's allocation shows whether the
+// pair enumeration costs memory per candidate or per survivor.
+func skewedCustomers(rows int) []types.Value {
+	out := datagen.GenCustomer(datagen.CustomerConfig{Rows: rows, DupRate: 0.1, MaxDups: 10, Seed: 1}).Rows
+	block := datagen.GenCustomer(datagen.CustomerConfig{Rows: skewedBlock, Seed: 2}).Rows[:skewedBlock]
+	for i, r := range block {
+		out = append(out, types.NewRecord(datagen.CustomerSchema, []types.Value{
+			types.Int(int64(1_000_000 + i)), r.Field("name"), types.String("0 depot rd"),
+			r.Field("nationkey"), r.Field("phone"),
+		}))
+	}
+	return out
+}
+
+// benchStatement runs one CleanM statement per iteration on a fresh DB over
+// rows — the full stack: text → comprehension → algebra → physical →
+// execution.
+func benchStatement(b *testing.B, workers int, rows []types.Value, query string) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db := cleandb.Open(cleandb.WithWorkers(8))
-		db.RegisterRows("customer", data.Rows)
+		db := cleandb.Open(cleandb.WithWorkers(workers))
+		db.RegisterRows("customer", rows)
 		if _, err := db.Query(query); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkPipelineEndToEnd(b *testing.B) {
+	b.Run("zipf", func(b *testing.B) {
+		data := datagen.GenCustomer(datagen.CustomerConfig{Rows: 2000, DupRate: 0.1, MaxDups: 10, Seed: 1})
+		benchStatement(b, 8, data.Rows, unifiedStatement)
+	})
+	b.Run("skewed", func(b *testing.B) {
+		benchStatement(b, 8, skewedCustomers(2000), unifiedStatement)
+	})
 }
 
 func BenchmarkPreparedVsUnprepared(b *testing.B) {

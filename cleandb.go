@@ -156,9 +156,10 @@ func WithWorkers(n int) Option {
 	return func(db *DB) { db.ctx.Workers = n }
 }
 
-// WithComparisonBudget bounds pairwise comparisons per query; exceeding it
-// aborts the query with an error (how the experiment suite reproduces the
-// paper's DNF entries).
+// WithComparisonBudget bounds pairwise comparisons per query — the candidate
+// pairs of DENIAL joins and of DEDUP blocks alike; exceeding it aborts the
+// query with an error (how the experiment suite reproduces the paper's DNF
+// entries).
 func WithComparisonBudget(n int64) Option {
 	return func(db *DB) { db.ctx.CompBudget = n }
 }

@@ -1,8 +1,15 @@
 package cleandb
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"cleandb/internal/engine"
 )
 
 func demoDB() *DB {
@@ -142,5 +149,101 @@ DEDUP(attribute, LD, 0.5, c.address, c.name)`)
 	}
 	if res.RowCount() != len(res.Rows()) {
 		t.Fatalf("RowCount %d != len(Rows) %d", res.RowCount(), len(res.Rows()))
+	}
+}
+
+// oneBlock returns n customers that share one address — a single DEDUP block
+// of n(n−1)/2 candidate pairs — with pairwise distinct names.
+func oneBlock(n int) []Value {
+	schema := NewSchema("name", "address")
+	rows := make([]Value, n)
+	for i := range rows {
+		rows[i] = NewRecord(schema, []Value{String(fmt.Sprintf("customer %06d", i*7919)), String("1 oak st")})
+	}
+	return rows
+}
+
+// TestComparisonBudgetCoversDedup is the regression test for the CleanM DEDUP
+// path charging no comparisons: the plan enumerated a block's pairs without
+// telling the cost model, so WithComparisonBudget never tripped and
+// Result.Metrics().Comparisons read 0.
+func TestComparisonBudgetCoversDedup(t *testing.T) {
+	const query = `SELECT * FROM customer c DEDUP(attribute, LD, 0.5, c.address, c.name)`
+	rows := oneBlock(200)
+
+	db := Open(WithWorkers(4))
+	db.RegisterRows("customer", rows)
+	res, err := db.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics().Comparisons; got != 200*199/2 {
+		t.Fatalf("Comparisons = %d, want %d (one per candidate pair of the block)", got, 200*199/2)
+	}
+	if res.Metrics().Strategies["pairs:self"] != 1 {
+		t.Fatalf("strategy ledger %v lacks pairs:self", res.Metrics().Strategies)
+	}
+
+	tight := Open(WithWorkers(4), WithComparisonBudget(10))
+	tight.RegisterRows("customer", rows)
+	if res, err := tight.Query(query); !errors.Is(err, engine.ErrBudgetExceeded) {
+		n := -1
+		if res != nil {
+			n = res.RowCount()
+		}
+		t.Fatalf("budget of 10 over 19900 candidate pairs: err = %v (%d rows), want ErrBudgetExceeded", err, n)
+	}
+}
+
+// TestDedupBigBlockBoundedAndCancellable: one block of a few thousand members
+// at a threshold nothing passes. The pair enumeration must not materialize
+// the n² candidate environments (the unfused Unnest∘Unnest∘Select plan
+// allocated 1530 B per ordered pair, 5.8 GB here), and a cancelled context
+// must end it mid-block, promptly, leaving no goroutine behind.
+func TestDedupBigBlockBoundedAndCancellable(t *testing.T) {
+	const n = 2000
+	const query = `SELECT * FROM customer c DEDUP(attribute, LD, 0.99, c.address, c.name)`
+	before := runtime.NumGoroutine()
+	db := Open(WithWorkers(4))
+	db.RegisterRows("customer", oneBlock(n))
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := db.Query(query)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowCount() != 0 {
+		t.Fatalf("%d pairs survived θ=0.99 over distinct names", res.RowCount())
+	}
+	// What remains is φ's own scratch — argument slices and two concatenated
+	// strings per candidate, ~320 B per ordered pair; the ceiling is twice that.
+	const ceiling = n * n * 640
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > ceiling {
+		t.Fatalf("TotalAlloc grew %d MB over a %d-member block; ceiling %d MB", alloc>>20, n, ceiling>>20)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.QueryContext(ctx, query)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // inside the block: the full run takes seconds
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled query returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("query did not stop within 5 s of cancellation")
+	}
+	for i := 0; i < 50 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutine leak: %d before, %d after", before, now)
 	}
 }

@@ -214,6 +214,59 @@ func TestRewriterFusesSelects(t *testing.T) {
 	}
 }
 
+// TestSelectFoldsIntoHaving pins the select-into-having rule: a Select
+// directly on a Nest folds when it mentions only the Nest's binding, stays
+// when it mentions anything else or sits above an Extend, and three guarded
+// branches over the same grouping still end on one Nest.
+func TestSelectFoldsIntoHaving(t *testing.T) {
+	mkNest := func() *Nest {
+		return &Nest{
+			Child: &Scan{Source: "customer", Alias: "c"},
+			Keys:  []monoid.Expr{monoid.F(monoid.V("c"), "address")},
+			Aggs:  []Aggregate{{Name: "group", M: monoid.Bag, Val: monoid.V("c")}},
+			As:    "g",
+		}
+	}
+	size := func(v string) monoid.Expr {
+		return &monoid.Call{Fn: "length", Args: []monoid.Expr{monoid.F(monoid.V(v), "group")}}
+	}
+	guard := monoid.Gt(size("g"), monoid.CInt(1))
+	rw := &Rewriter{}
+
+	out := rw.Rewrite(&Select{Child: &Select{Child: mkNest(), Pred: guard}, Pred: monoid.Lt(size("g"), monoid.CInt(9))})
+	n, ok := out.(*Nest)
+	if !ok || n.Having == nil {
+		t.Fatalf("selects over a Nest should fold into Having:\n%s", Explain(out))
+	}
+	if want := "((length(g.group) > 1) and (length(g.group) < 9))"; n.Having.String() != want {
+		t.Fatalf("Having = %s, want %s", n.Having, want)
+	}
+
+	other := monoid.Gt(size("g"), monoid.F(monoid.V("d"), "min"))
+	if out := rw.Rewrite(&Select{Child: mkNest(), Pred: other}); out.(*Select).Child.(*Nest).Having != nil {
+		t.Fatalf("predicate over another binding must not fold:\n%s", Explain(out))
+	}
+
+	ext := &Extend{Child: mkNest(), Var: "n", E: size("g")}
+	out = rw.Rewrite(&Select{Child: ext, Pred: guard})
+	if out.(*Select).Child.(*Extend).Child.(*Nest).Having != nil {
+		t.Fatalf("select above an Extend must not fold:\n%s", Explain(out))
+	}
+
+	branches := make([]Plan, 3)
+	for i, name := range []string{"x", "y", "z"} {
+		guarded := &Select{Child: mkNest(), Pred: guard}
+		branches[i] = &Unnest{Child: guarded, Path: monoid.F(monoid.V("g"), "group"), As: name}
+	}
+	shared := rw.RewriteAll(branches)
+	if got := CountNodes(shared...); got != 5 { // scan, one guarded nest, 3 unnests
+		t.Fatalf("node count = %d, want 5:\n%s", got, Explain(&CombineAll{Inputs: shared, Names: []string{"x", "y", "z"}}))
+	}
+	if h := shared[0].(*Unnest).Child.(*Nest).Having; h == nil || h.String() != guard.String() {
+		t.Fatalf("shared Nest lost its guard: %v", h)
+	}
+}
+
 func TestShareUnifiesEqualSubplans(t *testing.T) {
 	mkNest := func() Plan {
 		return &Nest{

@@ -9,10 +9,10 @@ import (
 )
 
 // Rewriter applies the algebra-level optimizations of paper §5: selection
-// fusion, common-subplan elimination (which realizes both the shared-scan DAG
-// and the Plan B + Plan C → Plan BC nest coalescing of Figure 1), and
-// assembly of multi-operation cleaning queries into one DAG topped by a full
-// outer join.
+// fusion, folding group filters into Nest.Having, common-subplan elimination
+// (which realizes both the shared-scan DAG and the Plan B + Plan C → Plan BC
+// nest coalescing of Figure 1), and assembly of multi-operation cleaning
+// queries into one DAG topped by a full outer join.
 type Rewriter struct {
 	// Trace, when non-nil, receives a line per applied rewrite.
 	Trace func(rule, detail string)
@@ -26,7 +26,7 @@ func (r *Rewriter) trace(rule, detail string) {
 
 // Rewrite optimizes a single plan.
 func (r *Rewriter) Rewrite(p Plan) Plan {
-	p = r.fuseSelects(p)
+	p = r.foldSelects(p)
 	ps := r.Share([]Plan{p})
 	return ps[0]
 }
@@ -38,7 +38,7 @@ func (r *Rewriter) Rewrite(p Plan) Plan {
 func (r *Rewriter) RewriteAll(roots []Plan) []Plan {
 	out := make([]Plan, len(roots))
 	for i, p := range roots {
-		out[i] = r.fuseSelects(p)
+		out[i] = r.foldSelects(p)
 	}
 	return r.Share(out)
 }
@@ -59,21 +59,43 @@ func (r *Rewriter) Unified(roots []Plan, keys []monoid.Expr, names []string) Pla
 func (r *Rewriter) UnifiedUnshared(roots []Plan, keys []monoid.Expr, names []string) Plan {
 	rewritten := make([]Plan, len(roots))
 	for i, p := range roots {
-		rewritten[i] = r.fuseSelects(p)
+		rewritten[i] = r.foldSelects(p)
 	}
 	return &CombineAll{Inputs: rewritten, Keys: keys, Names: names}
 }
 
-// fuseSelects merges adjacent Select nodes into one conjunctive predicate.
-func (r *Rewriter) fuseSelects(p Plan) Plan {
-	rebuilt := rebuildChildren(p, func(c Plan) Plan { return r.fuseSelects(c) })
-	if s, ok := rebuilt.(*Select); ok {
-		if inner, ok := s.Child.(*Select); ok {
-			r.trace("fuse-select", s.Pred.String())
-			return &Select{Child: inner.Child, Pred: &monoid.BinOp{Op: "and", L: inner.Pred, R: s.Pred}}
+// foldSelects merges adjacent Select nodes into one conjunctive predicate and
+// folds a Select that sits directly on a Nest into the Nest's Having when the
+// predicate mentions nothing but the Nest's binding: the group filter then
+// runs inside the grouping operator, before a group's environment record
+// exists, and equal guards on equal Nests still share one node.
+func (r *Rewriter) foldSelects(p Plan) Plan {
+	rebuilt := rebuildChildren(p, func(c Plan) Plan { return r.foldSelects(c) })
+	s, ok := rebuilt.(*Select)
+	if !ok {
+		return rebuilt
+	}
+	switch c := s.Child.(type) {
+	case *Select:
+		r.trace("fuse-select", s.Pred.String())
+		return &Select{Child: c.Child, Pred: conjoin(c.Pred, s.Pred)}
+	case *Nest:
+		if mentionsOnly(s.Pred, c.As) {
+			r.trace("select-into-having", s.Pred.String())
+			return &Nest{Child: c.Child, Keys: c.Keys, Aggs: c.Aggs, As: c.As, Having: conjoin(c.Having, s.Pred)}
 		}
 	}
 	return rebuilt
+}
+
+// mentionsOnly reports whether every free variable of e is name.
+func mentionsOnly(e monoid.Expr, name string) bool {
+	for _, v := range monoid.FreeVars(e) {
+		if v != name {
+			return false
+		}
+	}
+	return true
 }
 
 // Share performs common-subplan elimination across roots: structurally equal

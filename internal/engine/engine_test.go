@@ -517,6 +517,66 @@ func TestFlatMapWCosts(t *testing.T) {
 	}
 }
 
+// TestSelfPairs: emission in the unfused order (a outer, b inner, list
+// order) keeping Key(a) < Key(b); equal keys never pair but each pairs with
+// the rest; n(n−1)/2 is the cost and the comparison charge; the budget is
+// checked before any pair is tested.
+func TestSelfPairs(t *testing.T) {
+	env := types.NewSchema("g")
+	out := types.NewSchema("g", "a", "b")
+	list := func(vs ...int64) types.Value {
+		ms := make([]types.Value, len(vs))
+		for i, v := range vs {
+			ms[i] = types.Int(v)
+		}
+		return types.NewRecord(env, []types.Value{types.ListOf(ms)})
+	}
+	groups := []types.Value{list(3, 1, 3, 2), list(), list(7), list(5, 4)}
+	members := func(v types.Value) []types.Value { return v.Field("g").List() }
+	odd := func(fields []types.Value) bool { return (fields[1].Int()+fields[2].Int())%2 == 1 }
+
+	ctx := NewContext(2)
+	d, err := FromValues(ctx, groups).SelfPairs("pairs", out, members, odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range d.Collect() {
+		got = append(got, types.Key(types.List(v.Field("a"), v.Field("b"))))
+	}
+	// (3,1,3,2): 1<3 twice and 1<2, 2<3 twice; odd sums keep (1,2) and both (2,3).
+	want := []string{"[1,2]", "[2,3]", "[2,3]", "[4,5]"}
+	if len(got) != len(want) {
+		t.Fatalf("pairs = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pairs = %v, want %v", got, want)
+		}
+	}
+	if c := ctx.Metrics().Comparisons(); c != 6+1 {
+		t.Fatalf("Comparisons = %d, want 7", c)
+	}
+	stages := ctx.Metrics().Stages()
+	if last := stages[len(stages)-1]; last.Name != "pairs" || last.TotalCost() != 7 {
+		t.Fatalf("stage %q cost %d, want pairs/7", last.Name, last.TotalCost())
+	}
+
+	tight := NewContext(2)
+	tight.CompBudget = 5
+	tested := false
+	_, err = FromValues(tight, groups).SelfPairs("pairs", out, members, func([]types.Value) bool {
+		tested = true
+		return true
+	})
+	if !errors.Is(err, ErrBudgetExceeded) || tested {
+		t.Fatalf("budget 5 over 7 candidates: err = %v, tested = %v", err, tested)
+	}
+	if c := tight.Metrics().Comparisons(); c != 5 {
+		t.Fatalf("Comparisons = %d, want the counter saturated at the budget", c)
+	}
+}
+
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The same pipeline must yield identical result sets for any worker
 	// count — the basic scale-out correctness invariant.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"cleandb/internal/types"
 )
@@ -85,6 +87,104 @@ func (d *Dataset) FlatMapW(name string, f func(types.Value) []types.Value, weigh
 	})
 	d.finishNarrow(name, costs)
 	return &Dataset{ctx: d.ctx, parts: out}
+}
+
+// SelfPairs is the fused form of FlatMap∘FlatMap∘Filter for a self-pair
+// enumeration. Every input is an environment record holding one list,
+// members(v); for each ordered pair (a, b) of its elements with
+// types.Key(a) < types.Key(b) for which keep holds, the stage emits v
+// extended with a and b under schema. Emission follows the unfused nest — a
+// outer, b inner, both in list order — so the output is, element for element,
+// what flatMap(a) → flatMap(b) → filter(Key(a) < Key(b) ∧ keep) produces,
+// without the n² candidate records: each element's key is built once per
+// list, elements are ranked on it (equal keys share a rank and never pair;
+// each still pairs with every other element, so multiplicity is preserved),
+// candidates are tested in one reused field buffer, and only survivors are
+// boxed.
+//
+// keep sees the candidate's fields — v's, then a, then b — in a buffer the
+// next candidate overwrites; it must not retain it.
+//
+// A list of n elements holds n(n−1)/2 candidate pairs. That is the record's
+// stage cost (the quadratic model of dedup:compare, so the worker owning a
+// popular block is the straggler) and its comparison charge; the whole
+// stage is charged through ChargeComparisons before a pair is tested, so a
+// job past its budget aborts with ErrBudgetExceeded as the joins do.
+func (d *Dataset) SelfPairs(name string, schema *types.Schema, members func(types.Value) []types.Value, keep func(fields []types.Value) bool) (*Dataset, error) {
+	parts := d.rows()
+	lists := make([][][]types.Value, len(parts))
+	costs := make([]int64, len(parts))
+	d.ctx.runParallel(len(parts), func(i int) {
+		lists[i] = make([][]types.Value, len(parts[i]))
+		for j, v := range parts[i] {
+			lists[i][j] = members(v)
+			n := int64(len(lists[i][j]))
+			costs[i] += n * (n - 1) / 2
+		}
+	})
+	if err := d.ctx.ChargeComparisons(sumCosts(costs)); err != nil {
+		return nil, err
+	}
+	out := make([][]types.Value, len(parts))
+	d.ctx.runParallel(len(parts), func(i int) {
+		var (
+			res   []types.Value
+			keys  []string
+			order []int
+			rank  []int
+			buf   []types.Value
+		)
+		for j, list := range lists[i] {
+			if len(list) < 2 {
+				continue
+			}
+			keys = keys[:0]
+			for _, el := range list {
+				keys = append(keys, types.Key(el))
+			}
+			order, rank = rankKeys(keys, order, rank)
+			buf = append(buf[:0], parts[i][j].Record().Fields...)
+			ai := len(buf)
+			buf = append(buf, types.Null(), types.Null())
+			for a, ea := range list {
+				if d.ctx.Err() != nil {
+					return // cancelled mid-list: the driver discards partial output
+				}
+				buf[ai] = ea
+				for b, eb := range list {
+					if rank[a] >= rank[b] {
+						continue
+					}
+					buf[ai+1] = eb
+					if keep(buf) {
+						res = append(res, types.NewRecord(schema, slices.Clone(buf)))
+					}
+				}
+			}
+		}
+		out[i] = res
+	})
+	d.finishNarrow(name, costs)
+	return &Dataset{ctx: d.ctx, parts: out}, nil
+}
+
+// rankKeys returns, in rank, the dense rank of every key (equal keys share
+// one), reusing the two scratch slices it is handed.
+func rankKeys(keys []string, order, rank []int) (_, _ []int) {
+	order, rank = order[:0], rank[:0]
+	for i := range keys {
+		order = append(order, i)
+		rank = append(rank, 0)
+	}
+	slices.SortFunc(order, func(x, y int) int { return strings.Compare(keys[x], keys[y]) })
+	r := 0
+	for k, i := range order {
+		if k > 0 && keys[i] != keys[order[k-1]] {
+			r++
+		}
+		rank[i] = r
+	}
+	return order, rank
 }
 
 // MapPartitions applies f to each whole partition. The paper's Nest operator

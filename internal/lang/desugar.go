@@ -217,10 +217,25 @@ func groupComp(source, alias string, where []monoid.Expr, extraGens []monoid.Qua
 	return &monoid.Comprehension{M: monoid.GroupBy{}, Head: head, Quals: quals}
 }
 
+// groupGuard is the cardinality fact the FD and DEDUP semantics imply, stated
+// directly after the grouping generator g: a group can only reach the output
+// when it has at least two members. Every FD and DEDUP comprehension carries
+// the same guard, so the algebra level folds it into the grouping operator
+// (Nest.Having) and still coalesces the operators onto one Nest.
+func groupGuard() monoid.Qual {
+	size := &monoid.Call{Fn: "length", Args: []monoid.Expr{monoid.F(monoid.V("g"), "group")}}
+	return &monoid.Pred{Cond: monoid.Gt(size, monoid.CInt(1))}
+}
+
 // desugarFD implements the paper's FD semantics:
 //
 //	groups := for (c <- data) yield filter(LHS(c)),
-//	for (g <- groups, count(distinct RHS over g) > 1) yield bag g
+//	for (g <- groups, |g| > 1, count(distinct RHS over g) > 1) yield bag g
+//
+// The |g| > 1 guard is implied, not added: a violation needs two members with
+// different right-hand sides, so a group of one can never satisfy
+// count(distinct RHS) > 1. Stating it lets the plan drop singleton groups
+// inside the grouping operator, before the distinct-RHS set is ever built.
 func (d *Desugarer) desugarFD(q *Query, op CleaningOp, name string) (*Task, error) {
 	alias, ok := aliasOf(tuple(op.LHS), q)
 	if !ok {
@@ -259,6 +274,7 @@ func (d *Desugarer) desugarFD(q *Query, op CleaningOp, name string) (*Task, erro
 		Head: head,
 		Quals: []monoid.Qual{
 			&monoid.Generator{Var: "g", Source: grouping},
+			groupGuard(),
 			&monoid.Let{Var: "rhsvals", E: rhsSet},
 			&monoid.Pred{Cond: monoid.Gt(&monoid.Call{Fn: "length", Args: []monoid.Expr{monoid.V("rhsvals")}}, monoid.CInt(1))},
 		},
@@ -273,8 +289,14 @@ func (d *Desugarer) desugarFD(q *Query, op CleaningOp, name string) (*Task, erro
 // desugarDedup implements the paper's DEDUP semantics:
 //
 //	groups := for (c <- data) yield filter(attrs(c), algo),
-//	for (g <- groups, p1 <- g.partition, p2 <- g.partition,
+//	for (g <- groups, |g| > 1, p1 <- g.partition, p2 <- g.partition,
 //	     similar(metric, p1.atts, p2.atts, θ)) yield bag (p1, p2)
+//
+// The |g| > 1 guard is implied for every blocker: a pair needs two members
+// with different record keys (reckey(p1) < reckey(p2) drops the diagonal and
+// one mirror of each pair, the similarity being symmetric and reflexive), so
+// a block of one yields nothing. It is the same guard FD states, which keeps
+// an exact-attribute DEDUP on one shared Nest with the FDs on that attribute.
 func (d *Desugarer) desugarDedup(q *Query, op CleaningOp, name string) (*Task, error) {
 	if len(op.Attrs) == 0 {
 		return nil, fmt.Errorf("lang: DEDUP requires at least one attribute")
@@ -340,6 +362,7 @@ func (d *Desugarer) desugarDedup(q *Query, op CleaningOp, name string) (*Task, e
 		Head: head,
 		Quals: []monoid.Qual{
 			&monoid.Generator{Var: "g", Source: grouping},
+			groupGuard(),
 			&monoid.Generator{Var: "p1", Source: monoid.F(monoid.V("g"), "group")},
 			&monoid.Generator{Var: "p2", Source: monoid.F(monoid.V("g"), "group")},
 			&monoid.Pred{Cond: monoid.Lt(

@@ -2,7 +2,10 @@
 // algebraic plans onto the engine's operators, following Table 2 of the
 // paper (Select→filter, Reduce→map+filter, Unnest→flatMap, Nest→
 // aggregateByKey+mapPartitions, equi-Join→hash join, theta-Join→custom
-// statistics-aware theta join).
+// statistics-aware theta join), plus one fused lowering the table does not
+// name: Select[reckey(a) < reckey(b) ∧ φ] over Unnest[P as b] over
+// Unnest[P as a] — DEDUP's pair enumeration inside a block — runs as the
+// engine's single self-pair stage instead of flatMap→flatMap→filter.
 //
 // The two physical-level concerns the paper calls out are explicit here:
 //
@@ -201,6 +204,9 @@ func (ex *Executor) execScan(n *algebra.Scan) (*engine.Dataset, error) {
 }
 
 func (ex *Executor) execSelect(n *algebra.Select) (*engine.Dataset, error) {
+	if sp, ok := matchSelfPairs(n); ok {
+		return ex.execSelfPairs(sp)
+	}
 	child, err := ex.Exec(n.Child)
 	if err != nil {
 		return nil, err
@@ -217,6 +223,99 @@ func (ex *Executor) execSelect(n *algebra.Select) (*engine.Dataset, error) {
 	return child.Filter("select", func(v types.Value) bool {
 		return evalEnv(pred, v).Bool()
 	}), nil
+}
+
+// selfPairs is the plan shape Select[reckey(a) < reckey(b) ∧ φ] over
+// Unnest[P as b] over Unnest[P as a] with one path P: the enumeration of the
+// unordered pairs of one list, written as a filtered cross product.
+type selfPairs struct {
+	outer, inner *algebra.Unnest // bind a and b
+	rest         monoid.Expr     // φ; nil when the order conjunct stands alone
+}
+
+// matchSelfPairs detects the self-pair shape in the plan, the way execJoin
+// detects band conjuncts. The order conjunct may sit anywhere in the
+// conjunction; the remaining conjuncts keep their order as φ.
+func matchSelfPairs(n *algebra.Select) (selfPairs, bool) {
+	inner, ok := n.Child.(*algebra.Unnest)
+	if !ok || inner.Outer {
+		return selfPairs{}, false
+	}
+	outer, ok := inner.Child.(*algebra.Unnest)
+	if !ok || outer.Outer || outer.As == inner.As || !algebra.ExprEqual(outer.Path, inner.Path) {
+		return selfPairs{}, false
+	}
+	for _, v := range monoid.FreeVars(inner.Path) {
+		if v == outer.As {
+			return selfPairs{}, false // b's list depends on a: not one list
+		}
+	}
+	sp := selfPairs{outer: outer, inner: inner}
+	found := false
+	for _, c := range conjuncts(n.Pred) {
+		if !found && isKeyOrder(c, outer.As, inner.As) {
+			found = true
+			continue
+		}
+		if sp.rest == nil {
+			sp.rest = c
+		} else {
+			sp.rest = monoid.And(sp.rest, c)
+		}
+	}
+	return sp, found
+}
+
+// isKeyOrder reports whether e is reckey(a) < reckey(b).
+func isKeyOrder(e monoid.Expr, a, b string) bool {
+	bo, ok := e.(*monoid.BinOp)
+	return ok && bo.Op == "<" && isRecKeyOf(bo.L, a) && isRecKeyOf(bo.R, b)
+}
+
+func isRecKeyOf(e monoid.Expr, name string) bool {
+	c, ok := e.(*monoid.Call)
+	if !ok || c.Fn != "reckey" || len(c.Args) != 1 {
+		return false
+	}
+	v, ok := c.Args[0].(*monoid.Var)
+	return ok && v.Name == name
+}
+
+// conjuncts splits e at its top-level ands, left to right.
+func conjuncts(e monoid.Expr) []monoid.Expr {
+	if bo, ok := e.(*monoid.BinOp); ok && bo.Op == "and" {
+		return append(conjuncts(bo.L), conjuncts(bo.R)...)
+	}
+	return []monoid.Expr{e}
+}
+
+// execSelfPairs lowers the self-pair shape onto engine.SelfPairs: P is
+// evaluated once per input record, φ per candidate pair over the same
+// bindings the Select would have seen, and the output records are the ones
+// the two Unnests and the Select would have produced, in their order.
+func (ex *Executor) execSelfPairs(sp selfPairs) (*engine.Dataset, error) {
+	child, err := ex.Exec(sp.outer.Child)
+	if err != nil {
+		return nil, err
+	}
+	path, err := ex.compile(sp.outer.Path, sp.outer.Child)
+	if err != nil {
+		return nil, err
+	}
+	keep := func([]types.Value) bool { return true }
+	if sp.rest != nil {
+		rest, err := ex.compile(sp.rest, sp.inner)
+		if err != nil {
+			return nil, err
+		}
+		keep = func(fields []types.Value) bool {
+			v, err := rest(fields)
+			return err == nil && v.Bool()
+		}
+	}
+	ex.Ctx.Metrics().NoteStrategy("pairs:self")
+	return child.SelfPairs("pairs:self", envSchema(sp.inner),
+		func(v types.Value) []types.Value { return evalEnv(path, v).List() }, keep)
 }
 
 func (ex *Executor) execExtend(n *algebra.Extend) (*engine.Dataset, error) {
@@ -595,7 +694,8 @@ func (ex *Executor) execJoin(n *algebra.Join) (*engine.Dataset, error) {
 
 	// Every branch notes its choice in the Metrics strategy ledger. The
 	// names here ("join:hash", "join:cartesian", "join:minmax",
-	// "join:mbucket", plus the "nest:*" family above) share a namespace with
+	// "join:mbucket", plus the "nest:*" family and "pairs:self" — the fused
+	// self-pair stage — above) share a namespace with
 	// the incremental passes recorded outside this package ("join:delta-band",
 	// "join:delta-scan" in cleaning, "dedup:delta-block" in incr): a
 	// delta-served re-execution substitutes those passes for the join run
@@ -653,17 +753,6 @@ func (ex *Executor) deriveBand(n *algebra.Join) (lAttr, rAttr func(types.Value) 
 	for _, b := range n.Right.Binds() {
 		rightBinds[b] = true
 	}
-	var conjuncts []monoid.Expr
-	var collect func(e monoid.Expr)
-	collect = func(e monoid.Expr) {
-		if bo, ok := e.(*monoid.BinOp); ok && bo.Op == "and" {
-			collect(bo.L)
-			collect(bo.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	collect(n.Theta)
 	sideOf := func(e monoid.Expr) (left bool, right bool) {
 		for _, v := range monoid.FreeVars(e) {
 			if leftBinds[v] {
@@ -675,7 +764,7 @@ func (ex *Executor) deriveBand(n *algebra.Join) (lAttr, rAttr func(types.Value) 
 		}
 		return
 	}
-	for _, c := range conjuncts {
+	for _, c := range conjuncts(n.Theta) {
 		bo, ok := c.(*monoid.BinOp)
 		if !ok {
 			continue

@@ -273,18 +273,47 @@ func TestExecNestMultipleAggregates(t *testing.T) {
 	}
 }
 
+// TestExecNestHaving: the group filter holds under every grouping strategy,
+// over a primitive aggregate and over the bag aggregate FD and DEDUP guard.
 func TestExecNestHaving(t *testing.T) {
-	ex, _ := newExec(2)
-	p := &algebra.Nest{
-		Child:  &algebra.Scan{Source: "rows", Alias: "r"},
-		Keys:   []monoid.Expr{monoid.F(monoid.V("r"), "grp")},
-		Aggs:   []algebra.Aggregate{{Name: "n", M: monoid.Count, Val: monoid.CInt(1)}},
-		As:     "g",
-		Having: monoid.Gt(monoid.F(monoid.V("g"), "n"), monoid.CInt(1)),
+	groupSize := &monoid.Call{Fn: "length", Args: []monoid.Expr{monoid.F(monoid.V("g"), "group")}}
+	plans := map[string]*algebra.Nest{
+		"count": {
+			Aggs:   []algebra.Aggregate{{Name: "n", M: monoid.Count, Val: monoid.CInt(1)}},
+			Having: monoid.Gt(monoid.F(monoid.V("g"), "n"), monoid.CInt(1)),
+		},
+		"bag": {
+			Aggs:   []algebra.Aggregate{{Name: "group", M: monoid.Bag, Val: monoid.V("r")}},
+			Having: monoid.Gt(groupSize, monoid.CInt(1)),
+		},
 	}
-	got := runPlan(t, ex, p)
-	if len(got) != 2 { // groups a and b have 2 members; c has 1
-		t.Fatalf("having kept %d groups, want 2", len(got))
+	configs := map[string]Config{
+		"aggregate": {Group: GroupAggregate},
+		"sort":      {Group: GroupSort},
+		"hash":      {Group: GroupHash},
+		"auto":      {Auto: true},
+	}
+	for pname, p := range plans {
+		p.Child = &algebra.Scan{Source: "rows", Alias: "r"}
+		p.Keys = []monoid.Expr{monoid.F(monoid.V("r"), "grp")}
+		p.As = "g"
+		for cname, cfg := range configs {
+			ex, _ := newExec(2)
+			ex.Config = cfg
+			d, err := ex.Exec(p)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", pname, cname, err)
+			}
+			var kept []string
+			for _, v := range d.Collect() {
+				kept = append(kept, v.Field("g").Field("key").Str())
+			}
+			sort.Strings(kept)
+			// groups a and b have 2 members; c has 1
+			if len(kept) != 2 || kept[0] != "a" || kept[1] != "b" {
+				t.Errorf("%s/%s: having kept groups %v, want [a b]", pname, cname, kept)
+			}
+		}
 	}
 }
 

@@ -948,17 +948,18 @@ func (db *DB) ExecuteTo(ctx context.Context, q string, s Sink, args ...any) (*Re
 		}
 		// A view answers the statement without re-executing; the export
 		// itself still streams partition-parallel under ctx.
-		if _, err := res.ExportTo(ctx, s); err != nil {
+		exported, err := res.ExportTo(ctx, s)
+		if err != nil {
 			return nil, err
 		}
-		return &Result{inner: res, planReused: hit, viewHit: vh}, nil
+		return &Result{inner: res, planReused: hit, viewHit: vh, exported: exported}, nil
 	}
 	res, err := prep.ExecuteToContext(ctx, params, s)
 	if err != nil {
 		return nil, err
 	}
 	db.storeView(q, prep, params, res)
-	return &Result{inner: res, planReused: hit}, nil
+	return &Result{inner: res, planReused: hit, exported: res.Stats.ExportedRows}, nil
 }
 
 // PrepareStmt parses, de-sugars, normalizes and lowers a CleanM statement
@@ -1014,6 +1015,10 @@ type Result struct {
 	// viewHit records how the materialized view cache served this
 	// execution: "" (full execution), "exact", or "delta".
 	viewHit string
+	// exported counts the rows this call pumped into a sink. It lives here,
+	// not on inner: a cached view's core.Result is shared by every call it
+	// answers, whichever of them exported.
+	exported int64
 }
 
 // ViewHit reports whether this execution was served by the materialized
@@ -1120,8 +1125,8 @@ type QueryMetrics struct {
 	// plan instead of planning from scratch (always true for Stmt
 	// executions).
 	PlanCacheHit bool
-	// ExportedRows counts rows this execution pumped into a sink (ExecuteTo
-	// paths); zero for plain Query executions.
+	// ExportedRows counts rows this call pumped into a sink (ExecuteTo
+	// paths, view-served or not); zero for plain Query executions.
 	ExportedRows int64
 	// BatchesEvaluated counts column batches run through vectorized operator
 	// kernels; zero under WithRowExecution.
@@ -1145,7 +1150,7 @@ func (r *Result) Metrics() QueryMetrics {
 		ShuffledRecords:  r.inner.Stats.ShuffledRecords,
 		ShuffledBytes:    r.inner.Stats.ShuffledBytes,
 		PlanCacheHit:     r.planReused,
-		ExportedRows:     r.inner.Stats.ExportedRows,
+		ExportedRows:     r.exported,
 		BatchesEvaluated: r.inner.Stats.BatchesEvaluated,
 		SimCacheHits:     r.inner.Stats.SimCacheHits,
 		SimCacheMisses:   r.inner.Stats.SimCacheMisses,

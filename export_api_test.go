@@ -225,6 +225,62 @@ func TestExecuteToEmptyResult(t *testing.T) {
 	}
 }
 
+// TestExportedRowsIsPerCall pins ExportedRows to the call, not to the cached
+// result a view-served call shares: an ExecuteTo answered from a view a Query
+// stored reports the rows it pumped, and a Query answered from a view an
+// ExecuteTo stored reports none — for exact and delta hits alike.
+func TestExportedRowsIsPerCall(t *testing.T) {
+	const q = `SELECT * FROM events t1 DENIAL(t2, t1.score < t2.score and t1.id > t2.id)`
+	_, rows := exportDB(t, 60)
+	ctx := context.Background()
+	exportedVia := func(db *DB, wantHit string) {
+		t.Helper()
+		m := NewMemSink()
+		res, err := db.ExecuteTo(ctx, q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ViewHit() != wantHit {
+			t.Fatalf("ExecuteTo view hit = %q, want %q", res.ViewHit(), wantHit)
+		}
+		if n := len(m.Rows()); n == 0 || res.Metrics().ExportedRows != int64(n) {
+			t.Fatalf("ExecuteTo (%q hit): ExportedRows = %d, sink holds %d rows", wantHit, res.Metrics().ExportedRows, n)
+		}
+	}
+	queriedVia := func(db *DB, wantHit string) {
+		t.Helper()
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ViewHit() != wantHit {
+			t.Fatalf("Query view hit = %q, want %q", res.ViewHit(), wantHit)
+		}
+		if got := res.Metrics().ExportedRows; got != 0 {
+			t.Fatalf("Query (%q hit): ExportedRows = %d, want 0", wantHit, got)
+		}
+	}
+
+	db := Open(WithWorkers(4), WithViewCache(4))
+	db.RegisterRows("events", rows[:50])
+	queriedVia(db, "") // stores the view
+	exportedVia(db, "exact")
+	if err := db.Append("events", rows[50:55]); err != nil {
+		t.Fatal(err)
+	}
+	exportedVia(db, "delta") // stores the refreshed view
+	queriedVia(db, "exact")
+
+	db = Open(WithWorkers(4), WithViewCache(4))
+	db.RegisterRows("events", rows[:50])
+	exportedVia(db, "") // stores the view, with its own export count on it
+	queriedVia(db, "exact")
+	if err := db.Append("events", rows[50:]); err != nil {
+		t.Fatal(err)
+	}
+	queriedVia(db, "delta")
+}
+
 func TestRepairedToMatchesRepairedRows(t *testing.T) {
 	schema := NewSchema("id", "ship", "receipt")
 	rows := make([]Value, 0, 60)

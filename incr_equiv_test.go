@@ -12,11 +12,14 @@ package cleandb
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,6 +95,48 @@ func checkIncrEquiv(t *testing.T, label string, got, want *Result, repairs strin
 		diffRows(t, label+"/repaired",
 			canonRows(got.RepairedRows(repairs)), canonRows(want.RepairedRows(repairs)))
 	}
+	// What the shared execution tail assembles around the rows.
+	if got.Explanation() != want.Explanation() {
+		t.Fatalf("%s: EXPLAIN differs:\n%s\n--- cold ---\n%s", label, got.Explanation(), want.Explanation())
+	}
+	if !reflect.DeepEqual(got.TaskNames(), want.TaskNames()) {
+		t.Fatalf("%s: task names %v, cold %v", label, got.TaskNames(), want.TaskNames())
+	}
+	if !reflect.DeepEqual(repairSummaries(got), repairSummaries(want)) {
+		t.Fatalf("%s: repair summaries\n%+v\n--- cold ---\n%+v", label, repairSummaries(got), repairSummaries(want))
+	}
+}
+
+// repairSummaries copies a result's repair summaries without their healed
+// rows (compared canonically by checkIncrEquiv): task, column, convergence
+// counters and every entry, in order.
+func repairSummaries(r *Result) []RepairSummary {
+	var out []RepairSummary
+	for _, s := range r.Repairs() {
+		c := *s
+		c.Rows = nil
+		out = append(out, c)
+	}
+	return out
+}
+
+// metricsGrowth is what one call added to the instance-wide accumulators.
+func metricsGrowth(before, after Metrics) QueryMetrics {
+	g := QueryMetrics{
+		SimTicks:        after.SimTicks - before.SimTicks,
+		Comparisons:     after.Comparisons - before.Comparisons,
+		ShuffledRecords: after.ShuffledRecords - before.ShuffledRecords,
+		ShuffledBytes:   after.ShuffledBytes - before.ShuffledBytes,
+	}
+	for name, n := range after.Strategies {
+		if d := n - before.Strategies[name]; d != 0 {
+			if g.Strategies == nil {
+				g.Strategies = map[string]int64{}
+			}
+			g.Strategies[name] = d
+		}
+	}
+	return g
 }
 
 // TestIncrementalAppendEquivalence is the core property over in-memory
@@ -148,6 +193,7 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 
 			for _, q := range incrQueries {
 				label := fmt.Sprintf("w%d/%s/%s", workers, st.name, q.name)
+				before := inc.Metrics()
 				got, err := inc.Query(q.query)
 				if err != nil {
 					t.Fatalf("%s: delta query: %v", label, err)
@@ -155,16 +201,39 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 				if got.ViewHit() != "delta" {
 					t.Fatalf("%s: appended re-execution not a delta view hit (got %q)", label, got.ViewHit())
 				}
+				// The job's counters reach the instance accumulators once.
+				gm := got.Metrics()
+				grew := metricsGrowth(before, inc.Metrics())
+				if grew.SimTicks != gm.SimTicks || grew.Comparisons != gm.Comparisons ||
+					grew.ShuffledRecords != gm.ShuffledRecords || grew.ShuffledBytes != gm.ShuffledBytes ||
+					!reflect.DeepEqual(grew.Strategies, gm.Strategies) {
+					t.Fatalf("%s: instance metrics grew by %+v, the query reports %+v", label, grew, gm)
+				}
 				want, err := cold.Query(q.query)
 				if err != nil {
 					t.Fatalf("%s: cold query: %v", label, err)
 				}
 				checkIncrEquiv(t, label, got, want, q.repairs)
 				if q.dc {
+					// The ledger shows the delta pass in place of the cold join
+					// and, beside it, the same fixpoint re-checks (themselves
+					// delta-band passes) the cold REPAIR ran.
+					ws := want.Metrics().Strategies
+					coldJoin := map[physical.ThetaStrategy]string{
+						physical.ThetaMBucket: "join:mbucket", physical.ThetaCartesian: "join:cartesian"}[st.theta]
+					if ws[coldJoin] != 1 || gm.Strategies[coldJoin] != 0 ||
+						gm.Strategies["join:delta-band"] != ws["join:delta-band"]+1 {
+						t.Fatalf("%s: delta strategies %v, cold %v", label, gm.Strategies, ws)
+					}
+					if q.repairs != "" && ws["join:delta-band"] == 0 {
+						t.Fatalf("%s: cold REPAIR ran no fixpoint re-check: %v", label, ws)
+					}
+				}
+				if q.dc {
 					// The delta pass charges its candidate pairs to Comparisons;
 					// the cold join splits its pair work between Comparisons and
 					// stage ticks. Total pair-work must shrink to the delta.
-					gm, wm := got.Metrics(), want.Metrics()
+					wm := want.Metrics()
 					gc := gm.Comparisons + gm.SimTicks
 					wc := wm.Comparisons + wm.SimTicks
 					if gm.Comparisons == 0 {
@@ -181,6 +250,61 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 				t.Fatalf("view cache never engaged: %+v", vs)
 			}
 		}
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n-th Err poll
+// on — a deterministic way to cancel in the middle of an operator loop.
+type cancelAfter struct {
+	context.Context
+	polls atomic.Int64
+	n     int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDeltaCancelledMidPassMergesMetricsOnce cancels a delta-served REPAIR
+// statement in the middle of its delta pass: the execution fails, and the
+// partial work reaches the instance accumulators exactly once — one delta
+// pass in the ledger, fewer comparisons than the whole pass charges.
+func TestDeltaCancelledMidPassMergesMetricsOnce(t *testing.T) {
+	_, _, lineBase, lineDelta := incrData()
+	q := incrQueries[3].query
+	warm := func() *DB {
+		db := Open(WithWorkers(3), WithViewCache(4))
+		db.RegisterRows("lineitem", lineBase)
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Append("lineitem", lineDelta); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	whole := warm()
+	before := whole.Metrics()
+	if res, err := whole.Query(q); err != nil || res.ViewHit() != "delta" {
+		t.Fatalf("uncancelled delta: hit %q, err %v", res.ViewHit(), err)
+	}
+	full := metricsGrowth(before, whole.Metrics())
+
+	db := warm()
+	before = db.Metrics()
+	ctx := &cancelAfter{Context: context.Background(), n: int64(len(lineDelta) / 2)}
+	if _, err := db.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled delta returned %v", err)
+	}
+	grew := metricsGrowth(before, db.Metrics())
+	if grew.Strategies["join:delta-band"] != 1 || len(grew.Strategies) != 1 {
+		t.Fatalf("cancelled delta pass in the ledger: %v, want one join:delta-band", grew.Strategies)
+	}
+	if grew.Comparisons <= 0 || grew.Comparisons >= full.Comparisons {
+		t.Fatalf("cancelled delta charged %d comparisons, the whole execution %d", grew.Comparisons, full.Comparisons)
 	}
 }
 

@@ -198,7 +198,7 @@ func conjoin(a, b monoid.Expr) monoid.Expr {
 	if a == nil {
 		return b
 	}
-	return &monoid.BinOp{Op: "and", L: a, R: b}
+	return monoid.And(a, b)
 }
 
 // retryDeferred re-attempts deferred predicates after new bindings appear.
@@ -248,13 +248,7 @@ func (st *lowerState) addGenerator(g *monoid.Generator) error {
 			remaining = append(remaining, p)
 			continue
 		}
-		refsNew := false
-		for _, v := range monoid.FreeVars(p) {
-			if v == g.Var {
-				refsNew = true
-			}
-		}
-		if !refsNew {
+		if !monoid.Mentions(p, g.Var) {
 			remaining = append(remaining, p)
 			continue
 		}
@@ -267,9 +261,9 @@ func (st *lowerState) addGenerator(g *monoid.Generator) error {
 	}
 	st.deferred = remaining
 	if len(join.LeftKeys) == 0 && len(residuals) > 0 {
-		join.Theta = conj(residuals)
+		join.Theta = monoid.AndAll(residuals)
 	} else if len(residuals) > 0 {
-		join.Residual = conj(residuals)
+		join.Residual = monoid.AndAll(residuals)
 	}
 	st.plan = join
 	st.bound[g.Var] = true
@@ -401,15 +395,4 @@ func equiParts(p monoid.Expr, bound map[string]bool, newVar string) (monoid.Expr
 	default:
 		return nil, nil, false
 	}
-}
-
-func conj(preds []monoid.Expr) monoid.Expr {
-	if len(preds) == 0 {
-		return nil
-	}
-	out := preds[0]
-	for _, p := range preds[1:] {
-		out = &monoid.BinOp{Op: "and", L: out, R: p}
-	}
-	return out
 }

@@ -80,22 +80,12 @@ func (r *Rewriter) foldSelects(p Plan) Plan {
 		r.trace("fuse-select", s.Pred.String())
 		return &Select{Child: c.Child, Pred: conjoin(c.Pred, s.Pred)}
 	case *Nest:
-		if mentionsOnly(s.Pred, c.As) {
+		if monoid.MentionsOnly(s.Pred, c.As) {
 			r.trace("select-into-having", s.Pred.String())
 			return &Nest{Child: c.Child, Keys: c.Keys, Aggs: c.Aggs, As: c.As, Having: conjoin(c.Having, s.Pred)}
 		}
 	}
 	return rebuilt
-}
-
-// mentionsOnly reports whether every free variable of e is name.
-func mentionsOnly(e monoid.Expr, name string) bool {
-	for _, v := range monoid.FreeVars(e) {
-		if v != name {
-			return false
-		}
-	}
-	return true
 }
 
 // Share performs common-subplan elimination across roots: structurally equal

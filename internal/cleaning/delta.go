@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"cleandb/internal/engine"
+	"cleandb/internal/monoid"
 	"cleandb/internal/types"
 )
 
@@ -64,22 +65,6 @@ func bandRange(view []bandRow, x float64, op string) (int, int) {
 		return 0, firstGT()
 	default:
 		return 0, len(view)
-	}
-}
-
-// flipOp mirrors a band comparison: `a op b` holds iff `b flip(op) a`.
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
 	}
 }
 
@@ -190,7 +175,7 @@ func DeltaDCPairs(ds *engine.Dataset, fresh func(i int, v types.Value) bool, cfg
 		}
 		t2 := rows[j]
 		if pruned {
-			lo, hi := bandRange(oldLeftView, band[j], flipOp(cfg.BandOp))
+			lo, hi := bandRange(oldLeftView, band[j], monoid.MirrorOp(cfg.BandOp))
 			for _, c := range oldLeftView[lo:hi] {
 				if err := emit(rows[c.idx], t2); err != nil {
 					return nil, err

@@ -13,16 +13,18 @@ import (
 	"cleandb/internal/incr"
 	"cleandb/internal/lang"
 	"cleandb/internal/monoid"
-	"cleandb/internal/physical"
-	"cleandb/internal/sink"
 	"cleandb/internal/types"
 )
 
 // This file is the core half of incremental execution: deciding whether a
 // prepared statement can answer an appended-source re-execution with a delta
-// pass, compiling the analyzed DENIAL/DEDUP structure into the delta
-// detectors, and merging delta pairs into a cached Result so the outcome is
-// bit-identical (rows, task rows, repair summaries) to a cold full re-clean.
+// pass, and producing the canonical pair rows of such an execution from a
+// cached Result plus the pairs that touch fresh tuples. Nothing else differs
+// from a cold execution: executeWith (pipeline.go) is the one tail — REPAIR,
+// metrics, stats, export — and compileDenial (repair.go) the one reading of a
+// DENIAL, shared by the delta pass here and the REPAIR fixpoint. The outcome
+// is bit-identical (rows, task rows, repair summaries) to a cold full
+// re-clean.
 //
 // The bit-identity contract leans on two facts. First, every single-task
 // DENIAL/DEDUP execution — cold or incremental — reports its pair rows in
@@ -138,11 +140,6 @@ type DeltaBase struct {
 // have checked Incremental() and that base.Res was produced by an equivalent
 // statement over the same base rows — this method trusts both.
 func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string]types.Value, base DeltaBase) (*Result, error) {
-	for _, k := range pr.params {
-		if _, ok := params[k]; !ok {
-			return nil, fmt.Errorf("core: parameter %s is not bound", (&monoid.Param{Key: k}).String())
-		}
-	}
 	info := pr.Incremental()
 	if info.Kind == IncrNone {
 		return nil, fmt.Errorf("core: statement is not incrementally executable")
@@ -150,141 +147,79 @@ func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string
 	if base.Res == nil || len(base.Res.Tasks) != 1 {
 		return nil, fmt.Errorf("core: delta execution needs a cached single-task result")
 	}
-	src, ok := pr.sources[info.Source]
-	if !ok {
+	if _, ok := pr.sources[info.Source]; !ok {
 		return nil, fmt.Errorf("core: source %q not in catalog", info.Source)
 	}
-
-	job := pr.pipeline.Ctx.Job(goctx)
-	ds := src.WithContext(job)
-	freshAt := func(i int, _ types.Value) bool { return i >= base.BaseRows }
-	tab := types.NewTupleTable()
-
-	var merged []types.Value
-	var keys pairKeys
-	var err error
-	switch info.Kind {
-	case IncrDenial:
-		merged, keys, err = pr.denialDeltaRows(tab, ds, freshAt, base, params)
-	case IncrDedup:
-		merged, keys, err = pr.dedupDeltaRows(tab, ds, freshAt, base, params)
-	}
-	if err == nil {
-		err = job.Err()
-	}
-	if err != nil {
-		pr.pipeline.Ctx.Metrics().Merge(job.Metrics())
-		return nil, err
-	}
-
-	res := &Result{Explanation: pr.explain, workers: job.Workers, canonKeys: keys}
-	t := pr.tasks[0]
-	tr := TaskResult{
-		Name:   t.Name,
-		Output: NewRowset(partitionRows(merged, job.Workers)),
-		Plan:   pr.plans[0],
-		Comp:   pr.norm[0],
-	}
-	if t.Denial != nil && t.Denial.RepairAttr != nil {
-		// The merged pair list seeds the relaxation loop exactly as the cold
-		// plan output would; RepairDC's own later rounds are incremental
-		// either way, so cold and delta executions heal identically.
-		ex := physical.NewExecutor(job, pr.sources)
-		ex.Config = pr.pipeline.Config
-		for name, fn := range pr.builtins {
-			ex.AddBuiltin(name, fn)
-		}
-		ex.SetParams(params)
-		sum, err := pr.runRepair(ex, tab, &pr.tasks[0], pr.plans[0], merged, map[string]*engine.Dataset{}, params)
-		if err != nil {
-			pr.pipeline.Ctx.Metrics().Merge(job.Metrics())
-			return nil, err
-		}
-		tr.Repair = sum
-	}
-	res.Tasks = append(res.Tasks, tr)
-
-	pr.pipeline.Ctx.Metrics().Merge(job.Metrics())
-	m := job.Metrics()
-	simHits, simMisses := m.SimCacheStats()
-	res.Stats = ExecStats{
-		SimTicks:         m.SimTicks(),
-		Comparisons:      m.Comparisons(),
-		ShuffledRecords:  m.ShuffledRecords(),
-		ShuffledBytes:    m.ShuffledBytes(),
-		BatchesEvaluated: m.BatchesEvaluated(),
-		SimCacheHits:     simHits,
-		SimCacheMisses:   simMisses,
-		Strategies:       m.Strategies(),
-	}
-	return res, nil
+	return pr.executeWith(goctx, params, nil, &base)
 }
 
-// denialDeltaRows merges the cached violation pairs with the fresh-touching
-// ones (bag semantics: DENIAL emits every violating index pair). Both inputs
-// are key-sorted runs — the cached view by the canonical-ordering contract,
-// the fresh pairs by an explicit sort — so the merge keys only the fresh
-// pairs, not the whole cached output.
-func (pr *Prepared) denialDeltaRows(tab *types.TupleTable, ds *engine.Dataset, freshAt func(int, types.Value) bool, base DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
-	spec := pr.tasks[0].Denial
-	cfg, err := compileDenialCheck(spec, pr.pipeline.Config.Theta, params)
-	if err != nil {
-		return nil, pairKeys{}, err
-	}
-	pairs, err := cleaning.DeltaDCPairs(ds, freshAt, cfg)
-	if err != nil {
-		return nil, pairKeys{}, err
-	}
+// deltaPairRows is the delta-served producer of the canonical pair task's
+// rows, standing where a cold execution runs the plan and sorts: the cached
+// pairs merged with the ones that touch a fresh row. Both inputs are
+// key-sorted runs — the cached view by the canonical-ordering contract, the
+// fresh pairs by an explicit sort — so the merge keys only the fresh pairs,
+// not the whole cached output. DENIAL has bag semantics (every violating
+// index pair is a row, nothing is a repeat); DEDUP has set semantics, so a
+// pair reported for the base is skipped even when a value-identical fresh row
+// rediscovers it.
+func (pr *Prepared) deltaPairRows(tab *types.TupleTable, job *engine.Context, base *DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
+	info := pr.Incremental()
+	ds := pr.sources[info.Source].WithContext(job)
+	freshAt := func(i int, _ types.Value) bool { return i >= base.BaseRows }
 	prior := base.Res.Tasks[0].Output.Rows()
 	priorKeys := base.Res.priorKeys(tab, prior)
-	fresh := make([]types.Value, len(pairs))
-	for i, p := range pairs {
-		fresh[i] = types.NewRecord(pairSchema, []types.Value{p[0], p[1]})
+
+	var pairs [][2]types.Value
+	repeat := func(types.Value) bool { return false }
+	if info.Kind == IncrDenial {
+		cfg, err := compileDenial(pr.tasks[0].Denial, pr.pipeline.Config.Theta, params)
+		if err != nil {
+			return nil, pairKeys{}, err
+		}
+		if pairs, err = cleaning.DeltaDCPairs(ds, freshAt, cfg); err != nil {
+			return nil, pairKeys{}, err
+		}
+	} else {
+		d, err := pr.compileDedupDelta(params)
+		if err != nil {
+			return nil, pairKeys{}, err
+		}
+		if pairs, err = d.Pairs(ds, freshAt); err != nil {
+			return nil, pairKeys{}, err
+		}
+		repeat = repeatedPairs(tab, priorKeys)
+	}
+	fresh := make([]types.Value, 0, len(pairs))
+	for _, p := range pairs {
+		if r := types.NewRecord(pairSchema, []types.Value{p[0], p[1]}); !repeat(r) {
+			fresh = append(fresh, r)
+		}
 	}
 	freshKeys := sortRowsByKey(tab, fresh)
 	rows, keys := mergeSortedRuns(tab, prior, priorKeys, fresh, freshKeys)
 	return rows, keys, nil
 }
 
-// dedupDeltaRows merges the cached duplicate pairs with the fresh-touching
-// ones (set semantics: a pair reported for the base is skipped even when a
-// value-identical fresh row rediscovers it). As with denialDeltaRows, only
-// the fresh pairs are keyed and sorted; the cached run merges by its stored
-// keys.
-func (pr *Prepared) dedupDeltaRows(tab *types.TupleTable, ds *engine.Dataset, freshAt func(int, types.Value) bool, base DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
-	d, err := pr.compileDedupDelta(params)
-	if err != nil {
-		return nil, pairKeys{}, err
-	}
-	pairs, err := d.Pairs(ds, freshAt)
-	if err != nil {
-		return nil, pairKeys{}, err
-	}
-	prior := base.Res.Tasks[0].Output.Rows()
-	priorKeys := base.Res.priorKeys(tab, prior)
-	// A candidate is a repeat when the base reported it — both members' keys
-	// are in the prior pool and that pair of pool positions is a prior row —
-	// or when an earlier candidate had the same two tuples.
+// repeatedPairs returns DEDUP's set-semantics filter over candidate pair
+// rows: a candidate is a repeat when the base reported it — both members'
+// keys are in the prior pool and that pair of pool positions is a prior row —
+// or when an earlier candidate had the same two tuples.
+func repeatedPairs(tab *types.TupleTable, priorKeys pairKeys) func(types.Value) bool {
 	reported := make(map[[2]int32]bool, len(priorKeys.of))
 	for _, m := range priorKeys.of {
 		reported[m] = true
 	}
 	found := map[[2]int32]bool{}
-	fresh := make([]types.Value, 0, len(pairs))
-	for _, p := range pairs {
-		r := types.NewRecord(pairSchema, []types.Value{p[0], p[1]})
+	return func(r types.Value) bool {
 		a, b := pairIDs(tab, r)
 		pa, inA := slices.BinarySearch(priorKeys.pool, tab.Key(a))
 		pb, inB := slices.BinarySearch(priorKeys.pool, tab.Key(b))
 		if found[[2]int32{a, b}] || (inA && inB && reported[[2]int32{int32(pa), int32(pb)}]) {
-			continue
+			return true
 		}
 		found[[2]int32{a, b}] = true
-		fresh = append(fresh, r)
+		return false
 	}
-	freshKeys := sortRowsByKey(tab, fresh)
-	rows, keys := mergeSortedRuns(tab, prior, priorKeys, fresh, freshKeys)
-	return rows, keys, nil
 }
 
 // priorKeys returns the canonical keys of the cached result's primary rows,
@@ -353,65 +288,6 @@ func mergeSortedRuns(tab *types.TupleTable, a []types.Value, aKeys pairKeys, b [
 // pairSchema is the {a, b} record shape of DENIAL and DEDUP task output.
 var pairSchema = types.NewSchema("a", "b")
 
-// compileDenialCheck compiles the analyzed DENIAL structure into the
-// cleaning layer's check configuration, mirroring buildRepairConfig's
-// predicate and filter compilation but without requiring a REPAIR clause:
-// the band (when any same-attribute cross inequality exists) is only a
-// pruning aid — any conjunct of the predicate is a sound necessary
-// condition — so detect-only constraints without one still work, just
-// without pruning.
-func compileDenialCheck(spec *lang.DenialSpec, theta physical.ThetaStrategy, params map[string]types.Value) (cleaning.DCConfig, error) {
-	var cfg cleaning.DCConfig
-	comp := monoid.NewCompiler()
-	comp.Params = params
-
-	predCE, err := comp.Compile(spec.Pred, map[string]int{spec.Alias: 0, spec.SecondAlias: 1})
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Pred = func(t1, t2 types.Value) bool {
-		v, err := predCE([]types.Value{t1, t2})
-		return err == nil && v.Bool()
-	}
-
-	if len(spec.T1Conjuncts) > 0 {
-		f := spec.T1Conjuncts[0]
-		for _, c := range spec.T1Conjuncts[1:] {
-			f = &monoid.BinOp{Op: "and", L: f, R: c}
-		}
-		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
-		if err != nil {
-			return cfg, err
-		}
-		cfg.LeftFilter = func(v types.Value) bool {
-			out, err := ce([]types.Value{v})
-			return err == nil && out.Bool()
-		}
-	}
-
-	for _, c := range spec.CrossConjuncts {
-		t1Expr, op, same := sameAttrInequality(c, spec)
-		if t1Expr == nil || !same {
-			continue
-		}
-		bandCE, err := comp.Compile(t1Expr, map[string]int{spec.Alias: 0})
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Band = func(v types.Value) float64 {
-			out, err := bandCE([]types.Value{v})
-			if err != nil {
-				return 0
-			}
-			return out.Float()
-		}
-		cfg.BandOp = op
-		break
-	}
-	cfg.Strategy = theta
-	return cfg, nil
-}
-
 // compileDedupDelta compiles the analyzed DEDUP structure into the delta
 // detector's closures, with semantics identical to the desugared
 // comprehension: WHERE filters, then blocking (through the same fitted
@@ -425,11 +301,7 @@ func (pr *Prepared) compileDedupDelta(params map[string]types.Value) (incr.Dedup
 		comp.Builtins[name] = fn
 	}
 
-	if len(spec.Where) > 0 {
-		f := spec.Where[0]
-		for _, c := range spec.Where[1:] {
-			f = &monoid.BinOp{Op: "and", L: f, R: c}
-		}
+	if f := monoid.AndAll(spec.Where); f != nil {
 		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
 		if err != nil {
 			return d, err
@@ -587,28 +459,4 @@ func sortRowsByKey(tab *types.TupleTable, rows []types.Value) pairKeys {
 	}
 	copy(rows, sorted)
 	return keys
-}
-
-// ExportTo pumps the result's primary output into s exactly as
-// ExecuteToContext does after execution: column batches drain directly when
-// both sides support it, otherwise the partitioned rows are pumped with the
-// result's own worker fan-out. It exists so a materialized view hit can
-// serve a streaming export without re-executing.
-func (r *Result) ExportTo(goctx context.Context, s sink.Sink) (int64, error) {
-	var exported int64
-	var err error
-	handled := false
-	if r.primaryDS != nil {
-		if batches := r.primaryDS.Batches(); batches != nil {
-			exported, handled, err = sink.PumpBatches(goctx, s, batches)
-		}
-	}
-	if err == nil && !handled {
-		w := r.workers
-		if w < 1 {
-			w = 1
-		}
-		exported, err = sink.Pump(goctx, s, r.Primary().Partitions(), w)
-	}
-	return exported, err
 }

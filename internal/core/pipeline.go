@@ -402,7 +402,7 @@ func (pr *Prepared) Execute() (*Result, error) {
 // bindings, separate cost counters (merged into the pipeline context's
 // accumulators on completion), and per-query cancellation.
 func (pr *Prepared) ExecuteContext(goctx context.Context, params map[string]types.Value) (*Result, error) {
-	return pr.executeWith(goctx, params, nil)
+	return pr.executeWith(goctx, params, nil, nil)
 }
 
 // ExecuteToContext runs the prepared plans like ExecuteContext and then
@@ -416,10 +416,16 @@ func (pr *Prepared) ExecuteToContext(goctx context.Context, params map[string]ty
 	if s == nil {
 		return nil, fmt.Errorf("core: ExecuteToContext needs a sink")
 	}
-	return pr.executeWith(goctx, params, s)
+	return pr.executeWith(goctx, params, s, nil)
 }
 
-func (pr *Prepared) executeWith(goctx context.Context, params map[string]types.Value, s sink.Sink) (*Result, error) {
+// executeWith is the one execution tail: parameter check, job and executor
+// construction, execution, optional export into s, metrics merge and stats.
+// A non-nil base makes it a delta-served execution (ExecuteDeltaContext
+// checked the statement is a single canonical pair task): that task's rows
+// come from the cached view plus a delta pass instead of the plan; everything
+// else is the same code.
+func (pr *Prepared) executeWith(goctx context.Context, params map[string]types.Value, s sink.Sink, base *DeltaBase) (*Result, error) {
 	for _, k := range pr.params {
 		if _, ok := params[k]; !ok {
 			return nil, fmt.Errorf("core: parameter %s is not bound", (&monoid.Param{Key: k}).String())
@@ -433,20 +439,10 @@ func (pr *Prepared) executeWith(goctx context.Context, params map[string]types.V
 	}
 	ex.SetParams(params)
 
-	res, err := pr.execute(ex, job, params)
+	res, err := pr.execute(ex, job, params, base)
 	var exported int64
 	if err == nil && s != nil {
-		handled := false
-		if res.primaryDS != nil {
-			if batches := res.primaryDS.Batches(); batches != nil {
-				// Columnar export: the sink drains the vectors directly;
-				// handled=false means the sink is row-only and we box below.
-				exported, handled, err = sink.PumpBatches(goctx, s, batches)
-			}
-		}
-		if err == nil && !handled {
-			exported, err = sink.Pump(goctx, s, res.Primary().Partitions(), job.Workers)
-		}
+		exported, err = res.ExportTo(goctx, s)
 	}
 	// Partial work from failed or cancelled queries still moved data; account
 	// for it in the instance-wide accumulators either way.
@@ -470,7 +466,7 @@ func (pr *Prepared) executeWith(goctx context.Context, params map[string]types.V
 	return res, nil
 }
 
-func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params map[string]types.Value) (*Result, error) {
+func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params map[string]types.Value, base *DeltaBase) (*Result, error) {
 	res := &Result{Explanation: pr.explain, workers: job.Workers}
 	// The execution's tuple table: every tuple in a pair row is encoded once,
 	// for the canonical ordering and the REPAIR fixpoint alike. It dies with
@@ -488,32 +484,37 @@ func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params m
 	healed := map[string]*engine.Dataset{}
 	for i, t := range pr.tasks {
 		var out *Rowset
-		if pr.combined == nil {
+		switch {
+		case pr.combined != nil:
+			// Unified: per-task violations are folded into Combined.
+		case pr.canonicalPairTask():
+			// Single DENIAL/DEDUP task: pin the pair rows to canonical key
+			// order, the ordering contract that lets an incremental merge
+			// over a cached view reproduce a cold run bit for bit (see
+			// incr.go). Pair rows are row-backed, so flattening here costs
+			// what the first consumer would have paid.
+			rows, keys, err := pr.canonicalPairRows(ex, tab, job, base, params)
+			if err != nil {
+				return nil, err
+			}
+			res.canonKeys = keys
+			out = NewRowset(partitionRows(rows, job.Workers))
+		default:
 			d, err := ex.Exec(pr.plans[i])
 			if err != nil {
 				return nil, err
 			}
-			switch {
-			case pr.canonicalPairTask():
-				// Single DENIAL/DEDUP task: pin the pair rows to canonical
-				// key order, the ordering contract that lets an incremental
-				// merge over a cached view reproduce a cold run bit for bit
-				// (see incr.go). Pair rows are row-backed, so flattening
-				// here costs what the first consumer would have paid.
-				rows := unwrapOut(d.Collect())
-				res.canonKeys = sortRowsByKey(tab, rows)
-				out = NewRowset(partitionRows(rows, job.Workers))
-			case d.Batches() != nil:
+			if d.Batches() != nil {
 				// Columnar result: defer row boxing until a consumer asks.
 				// Batch-capable sinks drain the vectors via primaryDS and
 				// never trigger it.
 				out = LazyRowset(int(d.Count()), func() [][]types.Value {
 					return unwrapParts(d.Partitions())
 				})
-			default:
+			} else {
 				out = NewRowset(unwrapParts(d.Partitions()))
 			}
-			if i == 0 && !pr.canonicalPairTask() {
+			if i == 0 {
 				res.primaryDS = d
 			}
 		}
@@ -542,6 +543,39 @@ func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params m
 	return res, nil
 }
 
+// canonicalPairRows produces the single DENIAL/DEDUP task's pair rows and
+// their canonical keys, in key order: by running the plan and sorting, or —
+// delta-served, base non-nil — from the cached view plus a delta pass.
+func (pr *Prepared) canonicalPairRows(ex *physical.Executor, tab *types.TupleTable, job *engine.Context, base *DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
+	if base != nil {
+		return pr.deltaPairRows(tab, job, base, params)
+	}
+	d, err := ex.Exec(pr.plans[0])
+	if err != nil {
+		return nil, pairKeys{}, err
+	}
+	rows := unwrapOut(d.Collect())
+	return rows, sortRowsByKey(tab, rows), nil
+}
+
+// ExportTo pumps the result's primary output into s and returns the rows
+// written: column batches drain directly when both sides support it,
+// otherwise the partitioned rows are pumped with the result's own worker
+// fan-out. It is the export step of ExecuteToContext, and serves a
+// materialized view hit's streaming export without re-executing.
+func (r *Result) ExportTo(goctx context.Context, s sink.Sink) (int64, error) {
+	if r.primaryDS != nil {
+		if batches := r.primaryDS.Batches(); batches != nil {
+			// Columnar export: the sink drains the vectors directly;
+			// handled=false means the sink is row-only and we box below.
+			if exported, handled, err := sink.PumpBatches(goctx, s, batches); handled || err != nil {
+				return exported, err
+			}
+		}
+	}
+	return sink.Pump(goctx, s, r.Primary().Partitions(), max(r.workers, 1))
+}
+
 // RepairedTo pumps the healed rows of the named source — the final state
 // after every REPAIR clause on it — into s, partition-parallel under ctx. It
 // returns the rows written, or an error when the query repaired nothing in
@@ -557,10 +591,7 @@ func (r *Result) RepairedTo(ctx context.Context, source string, s sink.Sink) (in
 	if !found {
 		return 0, fmt.Errorf("core: the query repaired nothing in source %q", source)
 	}
-	w := r.workers
-	if w < 1 {
-		w = 1
-	}
+	w := max(r.workers, 1)
 	return sink.Pump(ctx, s, partitionRows(rows, w), w)
 }
 

@@ -59,8 +59,10 @@ func (pr *Prepared) runRepair(ex *physical.Executor, tab *types.TupleTable, t *l
 		src = h
 	} else {
 		// Seed with the pairs the optimized plan already found — detection
-		// ran through the full comprehension→algebra→physical stack; only
-		// the fixpoint re-checks go through DCCheck directly.
+		// ran through the full comprehension→algebra→physical stack (or, for
+		// a delta-served execution, the cached view plus a delta pass); the
+		// fixpoint's re-checks enumerate only pairs touching rewritten tuples,
+		// through DeltaDCPairs.
 		if seed == nil {
 			d, err := ex.Exec(plan)
 			if err != nil {
@@ -90,95 +92,96 @@ func (pr *Prepared) runRepair(ex *physical.Executor, tab *types.TupleTable, t *l
 	}, nil
 }
 
-// buildRepairConfig compiles the analyzed DENIAL structure into the cleaning
-// layer's declarative repair configuration: the REPAIR attribute must appear
-// in an inequality conjunct against the second alias (the relaxed predicate),
-// and a second same-attribute inequality supplies the fixed tuple order.
+// compileDenial is the one reading of a DENIAL that both incremental
+// detectors execute: it turns the analyzed constraint into the cleaning
+// layer's check configuration, consumed by the append delta (DeltaDCPairs)
+// and by the REPAIR fixpoint (RepairDCIn) alike. Pred is compiled by the same
+// specialized pair compiler the cold theta join uses, with the two aliases
+// bound to the tuples themselves. The band is the first same-attribute cross
+// inequality that is not on the REPAIR column (that conjunct is the one being
+// relaxed, so tuples cannot be ordered on it). It is only a pruning aid — any
+// conjunct is a sound necessary condition — so a constraint without one still
+// checks, just unpruned.
+func compileDenial(spec *lang.DenialSpec, theta physical.ThetaStrategy, params map[string]types.Value) (cleaning.DCConfig, error) {
+	cfg := cleaning.DCConfig{Strategy: theta}
+	comp := monoid.NewCompiler()
+	comp.Params = params
+
+	var err error
+	cfg.Pred, err = comp.CompilePair(spec.Pred, map[string]monoid.PairBinding{
+		spec.Alias:       {Slot: monoid.WholeSide},
+		spec.SecondAlias: {Right: true, Slot: monoid.WholeSide},
+	})
+	if err != nil {
+		return cfg, err
+	}
+	if f := monoid.AndAll(spec.T1Conjuncts); f != nil {
+		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
+		if err != nil {
+			return cfg, err
+		}
+		cfg.LeftFilter = func(v types.Value) bool {
+			out, err := ce([]types.Value{v})
+			return err == nil && out.Bool()
+		}
+	}
+	repairAttr, _ := spec.RepairAttr.(*monoid.Field) // nil without a REPAIR clause
+	for _, c := range spec.CrossConjuncts {
+		t1Expr, op, ok := sameAttrInequality(c, spec)
+		if !ok || (repairAttr != nil && isColumn(t1Expr, repairAttr.Name)) {
+			continue
+		}
+		bandCE, err := comp.Compile(t1Expr, map[string]int{spec.Alias: 0})
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Band = func(v types.Value) float64 {
+			out, err := bandCE([]types.Value{v})
+			if err != nil {
+				return 0
+			}
+			return out.Float()
+		}
+		cfg.BandOp = op
+		break
+	}
+	return cfg, nil
+}
+
+// buildRepairConfig is compileDenial plus the REPAIR-column classification:
+// the REPAIR attribute must appear in a same-attribute inequality against the
+// second alias (the relaxed predicate), and the check must have found a band
+// — a second same-attribute inequality — to supply the fixed tuple order.
 func buildRepairConfig(spec *lang.DenialSpec, theta physical.ThetaStrategy, params map[string]types.Value) (cleaning.DCRepairConfig, error) {
 	var cfg cleaning.DCRepairConfig
 	col, err := repairColumn(spec)
 	if err != nil {
 		return cfg, err
 	}
-	comp := monoid.NewCompiler()
-	comp.Params = params
-
-	predCE, err := comp.Compile(spec.Pred, map[string]int{spec.Alias: 0, spec.SecondAlias: 1})
+	check, err := compileDenial(spec, theta, params)
 	if err != nil {
 		return cfg, err
 	}
-	pred := func(t1, t2 types.Value) bool {
-		v, err := predCE([]types.Value{t1, t2})
-		return err == nil && v.Bool()
-	}
-
-	var leftFilter func(types.Value) bool
-	if len(spec.T1Conjuncts) > 0 {
-		f := spec.T1Conjuncts[0]
-		for _, c := range spec.T1Conjuncts[1:] {
-			f = &monoid.BinOp{Op: "and", L: f, R: c}
-		}
-		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
-		if err != nil {
-			return cfg, err
-		}
-		leftFilter = func(v types.Value) bool {
-			out, err := ce([]types.Value{v})
-			return err == nil && out.Bool()
-		}
-	}
-
-	// Classify the cross conjuncts: per-side inequality comparisons of the
-	// same attribute either relax (the repair column) or order (the band).
-	var bandExpr monoid.Expr
-	var bandOp, repairOp string
+	var repairOp string
 	for _, c := range spec.CrossConjuncts {
-		t1Expr, op, same := sameAttrInequality(c, spec)
-		if t1Expr == nil || !same {
-			continue
-		}
-		if f, ok := t1Expr.(*monoid.Field); ok && f.Name == col {
-			if repairOp == "" {
-				repairOp = op
-			}
-			continue
-		}
-		if bandExpr == nil {
-			bandExpr = t1Expr
-			bandOp = op
+		if t1Expr, op, ok := sameAttrInequality(c, spec); ok && isColumn(t1Expr, col) {
+			repairOp = op
+			break
 		}
 	}
 	if repairOp == "" {
 		return cfg, fmt.Errorf("core: REPAIR(%s) needs an inequality conjunct comparing %s.%s with %s.%s",
 			col, spec.Alias, col, spec.SecondAlias, col)
 	}
-	if bandExpr == nil {
+	if check.Band == nil {
 		return cfg, fmt.Errorf("core: REPAIR needs a second same-attribute inequality conjunct to order tuples")
 	}
-	bandCE, err := comp.Compile(bandExpr, map[string]int{spec.Alias: 0})
-	if err != nil {
-		return cfg, err
-	}
-
-	cfg = cleaning.DCRepairConfig{
-		Check: cleaning.DCConfig{
-			LeftFilter: leftFilter,
-			Pred:       pred,
-			Band: func(v types.Value) float64 {
-				out, err := bandCE([]types.Value{v})
-				if err != nil {
-					return 0
-				}
-				return out.Float()
-			},
-			BandOp:   bandOp,
-			Strategy: theta,
-		},
+	return cleaning.DCRepairConfig{
+		Check:      check,
 		RepairAttr: func(v types.Value) float64 { return v.Field(col).Float() },
 		RepairCol:  col,
 		RepairOp:   repairOp,
-	}
-	return cfg, nil
+	}, nil
 }
 
 // repairColumn resolves the REPAIR clause attribute to a writable column: it
@@ -197,58 +200,21 @@ func repairColumn(spec *lang.DenialSpec) (string, error) {
 	return f.Name, nil
 }
 
-// sameAttrInequality destructures c as t1Side OP t2Side with an inequality
-// OP, returning the t1-side expression with OP normalized to t1-first, and
-// whether both sides read the same attribute.
-func sameAttrInequality(c monoid.Expr, spec *lang.DenialSpec) (t1Expr monoid.Expr, op string, same bool) {
-	bo, ok := c.(*monoid.BinOp)
+// isColumn reports whether e reads the column named col.
+func isColumn(e monoid.Expr, col string) bool {
+	f, ok := e.(*monoid.Field)
+	return ok && f.Name == col
+}
+
+// sameAttrInequality reports whether c is an inequality between the same
+// attribute of the two aliases, returning the t1-side expression and the
+// operator normalized to t1-first.
+func sameAttrInequality(c monoid.Expr, spec *lang.DenialSpec) (t1Expr monoid.Expr, op string, ok bool) {
+	t1Expr, t2Expr, op, ok := monoid.CrossInequality(c, []string{spec.Alias}, []string{spec.SecondAlias})
 	if !ok {
-		return nil, "", false
-	}
-	switch bo.Op {
-	case "<", "<=", ">", ">=":
-	default:
-		return nil, "", false
-	}
-	refs := func(e monoid.Expr) (t1, t2 bool) {
-		for _, v := range monoid.FreeVars(e) {
-			if v == spec.Alias {
-				t1 = true
-			}
-			if v == spec.SecondAlias {
-				t2 = true
-			}
-		}
-		return
-	}
-	l1, l2 := refs(bo.L)
-	r1, r2 := refs(bo.R)
-	var t2Expr monoid.Expr
-	op = bo.Op
-	switch {
-	case l1 && !l2 && r2 && !r1:
-		t1Expr, t2Expr = bo.L, bo.R
-	case l2 && !l1 && r1 && !r2:
-		t1Expr, t2Expr = bo.R, bo.L
-		op = flipIneq(op)
-	default:
 		return nil, "", false
 	}
 	lhs := monoid.Substitute(t1Expr, spec.Alias, monoid.V("$x")).String()
 	rhs := monoid.Substitute(t2Expr, spec.SecondAlias, monoid.V("$x")).String()
 	return t1Expr, op, lhs == rhs
-}
-
-func flipIneq(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
 }

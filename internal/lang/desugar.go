@@ -165,27 +165,9 @@ func whereFor(q *Query, alias string) []monoid.Expr {
 	if q.Where == nil {
 		return nil
 	}
-	var conjuncts []monoid.Expr
-	var collect func(e monoid.Expr)
-	collect = func(e monoid.Expr) {
-		if bo, ok := e.(*monoid.BinOp); ok && bo.Op == "and" {
-			collect(bo.L)
-			collect(bo.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	collect(q.Where)
 	var out []monoid.Expr
-	for _, c := range conjuncts {
-		ok := true
-		for _, v := range monoid.FreeVars(c) {
-			if v != alias {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for _, c := range monoid.Conjuncts(q.Where) {
+		if monoid.MentionsOnly(c, alias) {
 			out = append(out, c)
 		}
 	}
@@ -475,14 +457,6 @@ func (d *Desugarer) desugarClusterBy(q *Query, op CleaningOp, name string) (*Tas
 	}, nil
 }
 
-// conjunctsOf splits an expression at top-level ANDs.
-func conjunctsOf(e monoid.Expr) []monoid.Expr {
-	if bo, ok := e.(*monoid.BinOp); ok && bo.Op == "and" {
-		return append(conjunctsOf(bo.L), conjunctsOf(bo.R)...)
-	}
-	return []monoid.Expr{e}
-}
-
 // desugarDenial implements the general denial constraint ¬∃t1,t2 pred as a
 // self-join comprehension:
 //
@@ -531,16 +505,8 @@ func (d *Desugarer) desugarDenial(q *Query, op CleaningOp, name string) (*Task, 
 		Pred: op.Pred, RepairAttr: op.RepairAttr,
 		T1Conjuncts: whereFor(q, alias),
 	}
-	for _, c := range conjunctsOf(op.Pred) {
-		refsT1, refsT2 := false, false
-		for _, v := range monoid.FreeVars(c) {
-			if v == alias {
-				refsT1 = true
-			}
-			if v == op.SecondAlias {
-				refsT2 = true
-			}
-		}
+	for _, c := range monoid.Conjuncts(op.Pred) {
+		refsT1, refsT2 := monoid.Mentions(c, alias), monoid.Mentions(c, op.SecondAlias)
 		switch {
 		case refsT1 && refsT2:
 			spec.CrossConjuncts = append(spec.CrossConjuncts, c)

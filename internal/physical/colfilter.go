@@ -168,27 +168,12 @@ func applyCmp(op string, l, r types.Value) bool {
 	}
 }
 
-// flipCmp mirrors an operator so const-vs-col comparisons reuse the
-// col-vs-const loops: c OP x  ⇔  x flip(OP) c.
-func flipCmp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op // ==, != are symmetric
-}
-
 // cmpColConst compares a column against a constant. rev marks the constant
 // as the left operand of the original expression.
 func cmpColConst(op, field string, cv types.Value, rev bool) bitEval {
 	if rev {
-		op = flipCmp(op)
+		// c OP x ⇔ x mirror(OP) c: the col-vs-const loops serve both.
+		op = monoid.MirrorOp(op)
 	}
 	return func(b *data.ColumnBatch, strs []string, out []bool) {
 		ci := b.Col(field)
@@ -221,7 +206,7 @@ func cmpColConst(op, field string, cv types.Value, rev bool) bitEval {
 					out[i] = nullRes
 					continue
 				}
-				out[i] = cmpOrd(op, stringsCompare(strs[c], cs))
+				out[i] = monoid.CmpOrd(op, stringsCompare(strs[c], cs))
 			}
 		case col.Kind == data.VecInt && cv.IsNumeric():
 			cf := cv.Float()
@@ -290,24 +275,6 @@ func colValueOrNull(b *data.ColumnBatch, ci, i int, strs []string) types.Value {
 		return types.Null()
 	}
 	return b.Cols[ci].Value(i, strs)
-}
-
-// cmpOrd applies an ordering operator to a three-way comparison result.
-func cmpOrd(op string, c int) bool {
-	switch op {
-	case "==":
-		return c == 0
-	case "!=":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default: // ">="
-		return c >= 0
-	}
 }
 
 func cmpFloat(op string, a, b float64) bool {

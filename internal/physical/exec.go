@@ -245,24 +245,20 @@ func matchSelfPairs(n *algebra.Select) (selfPairs, bool) {
 	if !ok || outer.Outer || outer.As == inner.As || !algebra.ExprEqual(outer.Path, inner.Path) {
 		return selfPairs{}, false
 	}
-	for _, v := range monoid.FreeVars(inner.Path) {
-		if v == outer.As {
-			return selfPairs{}, false // b's list depends on a: not one list
-		}
+	if monoid.Mentions(inner.Path, outer.As) {
+		return selfPairs{}, false // b's list depends on a: not one list
 	}
 	sp := selfPairs{outer: outer, inner: inner}
 	found := false
-	for _, c := range conjuncts(n.Pred) {
+	var rest []monoid.Expr
+	for _, c := range monoid.Conjuncts(n.Pred) {
 		if !found && isKeyOrder(c, outer.As, inner.As) {
 			found = true
 			continue
 		}
-		if sp.rest == nil {
-			sp.rest = c
-		} else {
-			sp.rest = monoid.And(sp.rest, c)
-		}
+		rest = append(rest, c)
 	}
+	sp.rest = monoid.AndAll(rest)
 	return sp, found
 }
 
@@ -279,14 +275,6 @@ func isRecKeyOf(e monoid.Expr, name string) bool {
 	}
 	v, ok := c.Args[0].(*monoid.Var)
 	return ok && v.Name == name
-}
-
-// conjuncts splits e at its top-level ands, left to right.
-func conjuncts(e monoid.Expr) []monoid.Expr {
-	if bo, ok := e.(*monoid.BinOp); ok && bo.Op == "and" {
-		return append(conjuncts(bo.L), conjuncts(bo.R)...)
-	}
-	return []monoid.Expr{e}
 }
 
 // execSelfPairs lowers the self-pair shape onto engine.SelfPairs: P is
@@ -661,34 +649,20 @@ func (ex *Executor) execJoin(n *algebra.Join) (*engine.Dataset, error) {
 		return joined, nil
 	}
 
-	// Theta or cross join.
-	predExpr := n.Theta
-	var pred func(l, r types.Value) bool
-	if predExpr == nil {
-		pred = func(l, r types.Value) bool { return true }
-	} else if spec, ok := ex.compilePairPred(predExpr, n.Left, n.Right); ok {
-		// Specialized pair predicate: no per-pair argument slice, no
-		// compiled-tree walk in the innermost loop.
-		pred = spec
-	} else {
-		binds := append(append([]string{}, n.Left.Binds()...), n.Right.Binds()...)
-		ce, err := ex.compiler.Compile(predExpr, slots(binds))
-		if err != nil {
-			return nil, err
+	// Theta or cross join. The pair predicate is the innermost loop of the
+	// engine: monoid.CompilePair specializes it over the two env records (no
+	// per-pair argument slice, no compiled-tree walk) where the shape allows.
+	pred := func(l, r types.Value) bool { return true }
+	if n.Theta != nil {
+		binds := map[string]monoid.PairBinding{}
+		for i, b := range n.Left.Binds() {
+			binds[b] = monoid.PairBinding{Slot: i}
 		}
-		nLeft := len(n.Left.Binds())
-		pred = func(l, r types.Value) bool {
-			args := make([]types.Value, 0, len(binds))
-			args = append(args, l.Record().Fields...)
-			if rr := r.Record(); rr != nil {
-				args = append(args, rr.Fields...)
-			} else {
-				for i := nLeft; i < len(binds); i++ {
-					args = append(args, types.Null())
-				}
-			}
-			v, err := ce(args)
-			return err == nil && v.Bool()
+		for i, b := range n.Right.Binds() {
+			binds[b] = monoid.PairBinding{Right: true, Slot: i}
+		}
+		if pred, err = ex.compiler.CompilePair(n.Theta, binds); err != nil {
+			return nil, err
 		}
 	}
 
@@ -697,9 +671,11 @@ func (ex *Executor) execJoin(n *algebra.Join) (*engine.Dataset, error) {
 	// "join:mbucket", plus the "nest:*" family and "pairs:self" — the fused
 	// self-pair stage — above) share a namespace with
 	// the incremental passes recorded outside this package ("join:delta-band",
-	// "join:delta-scan" in cleaning, "dedup:delta-block" in incr): a
-	// delta-served re-execution substitutes those passes for the join run
-	// here, and the ledger shows which machinery actually ran.
+	// "join:delta-scan" in cleaning, "dedup:delta-block" in incr). A
+	// delta-served re-execution is the same core execution with those passes
+	// producing the pair rows instead of the join run here — and their pair
+	// predicate is the one CompilePair above builds, bound to whole tuples —
+	// so the ledger shows which machinery actually ran.
 	strat := ex.Config.Theta
 	if ex.Config.Auto {
 		strat = ex.chooseTheta(left, right)
@@ -745,44 +721,9 @@ func (ex *Executor) deriveBand(n *algebra.Join) (lAttr, rAttr func(types.Value) 
 	if n.Theta == nil {
 		return nil, nil, nil
 	}
-	leftBinds := map[string]bool{}
-	for _, b := range n.Left.Binds() {
-		leftBinds[b] = true
-	}
-	rightBinds := map[string]bool{}
-	for _, b := range n.Right.Binds() {
-		rightBinds[b] = true
-	}
-	sideOf := func(e monoid.Expr) (left bool, right bool) {
-		for _, v := range monoid.FreeVars(e) {
-			if leftBinds[v] {
-				left = true
-			}
-			if rightBinds[v] {
-				right = true
-			}
-		}
-		return
-	}
-	for _, c := range conjuncts(n.Theta) {
-		bo, ok := c.(*monoid.BinOp)
+	for _, c := range monoid.Conjuncts(n.Theta) {
+		lExpr, rExpr, op, ok := monoid.CrossInequality(c, n.Left.Binds(), n.Right.Binds())
 		if !ok {
-			continue
-		}
-		op := bo.Op
-		if op != "<" && op != "<=" && op != ">" && op != ">=" {
-			continue
-		}
-		ll, lr := sideOf(bo.L)
-		rl, rr := sideOf(bo.R)
-		var lExpr, rExpr monoid.Expr
-		switch {
-		case ll && !lr && rr && !rl:
-			lExpr, rExpr = bo.L, bo.R
-		case lr && !ll && rl && !rr:
-			lExpr, rExpr = bo.R, bo.L
-			op = flipOp(op)
-		default:
 			continue
 		}
 		lc, err1 := ex.compile(lExpr, n.Left)
@@ -801,20 +742,6 @@ func (ex *Executor) deriveBand(n *algebra.Join) (lAttr, rAttr func(types.Value) 
 		return lAttr, rAttr, prune
 	}
 	return nil, nil, nil
-}
-
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
 }
 
 func (ex *Executor) compileKeys(keys []monoid.Expr, child algebra.Plan) (engine.KeyFunc, error) {

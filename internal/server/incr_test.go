@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"cleandb"
@@ -198,16 +200,33 @@ func TestViewCacheMetricsAndTrailer(t *testing.T) {
 	}
 
 	// The streaming path reports the view outcome as a trailer. The view was
-	// just refreshed by the delta pass, so this execution is an exact hit.
-	sresp, err := http.Post(base+"/v1/query", "text/plain", strings.NewReader(itemsQuery))
-	if err != nil {
-		t.Fatal(err)
+	// just refreshed by the delta pass, so these executions are exact hits.
+	// The row-count trailer is the rows this response streamed — the cached
+	// result is shared by both exporters and by the envelope calls that
+	// stored it, none of which may leak their count into another's trailer.
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sresp, err := http.Post(base+"/v1/query", "text/plain", strings.NewReader(itemsQuery))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer sresp.Body.Close()
+			lines, err := countLines(sresp.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if hit := sresp.Trailer.Get(trailerViewHit); hit != "exact" {
+				t.Errorf("streaming trailer %s = %q, want exact", trailerViewHit, hit)
+			}
+			if got := sresp.Trailer.Get(trailerRows); lines == 0 || got != strconv.Itoa(lines) {
+				t.Errorf("streaming trailer %s = %q, body has %d lines", trailerRows, got, lines)
+			}
+		}()
 	}
-	defer sresp.Body.Close()
-	if _, err := countLines(sresp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if hit := sresp.Trailer.Get(trailerViewHit); hit != "exact" {
-		t.Fatalf("streaming trailer %s = %q, want exact", trailerViewHit, hit)
-	}
+	wg.Wait()
 }

@@ -85,7 +85,7 @@ func (s *Stmt) ExecuteTo(ctx context.Context, sk Sink, args ...any) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return &Result{inner: res, planReused: true}, nil
+	return &Result{inner: res, planReused: true, exported: res.Stats.ExportedRows}, nil
 }
 
 // bindArgs resolves call arguments against the statement's parameter keys:

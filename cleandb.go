@@ -898,6 +898,14 @@ func (db *DB) Query(q string, args ...any) (*Result, error) {
 // so repeated un-prepared calls skip parsing, normalization and lowering;
 // use PrepareStmt to make that reuse explicit.
 func (db *DB) QueryContext(ctx context.Context, q string, args ...any) (*Result, error) {
+	return db.run(ctx, q, nil, args)
+}
+
+// run is the one execution entry behind QueryContext and ExecuteTo: prepare
+// (plan cache), bind, answer from the view cache — verbatim or by a delta
+// pass — or execute in full and store the view; with a non-nil sink the
+// primary output is exported either way.
+func (db *DB) run(ctx context.Context, q string, s Sink, args []any) (*Result, error) {
 	prep, hit, err := db.prepare(ctx, q)
 	if err != nil {
 		return nil, err
@@ -906,18 +914,25 @@ func (db *DB) QueryContext(ctx context.Context, q string, args ...any) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if res, vh, served, err := db.viewExecute(ctx, q, prep, params); served || err != nil {
-		if err != nil {
-			return nil, err
-		}
-		return &Result{inner: res, planReused: hit, viewHit: vh}, nil
-	}
-	res, err := prep.ExecuteContext(ctx, params)
+	res, vh, served, err := db.viewExecute(ctx, q, prep, params)
 	if err != nil {
 		return nil, err
 	}
-	db.storeView(q, prep, params, res)
-	return &Result{inner: res, planReused: hit}, nil
+	var exported int64
+	if !served {
+		if res, err = prep.ExecuteToContext(ctx, params, s); err == nil {
+			db.storeView(q, prep, params, res)
+			exported = res.Stats.ExportedRows
+		}
+	} else if s != nil {
+		// A view answers the statement without re-executing; the export
+		// itself still streams partition-parallel under ctx.
+		exported, err = res.ExportTo(ctx, s)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{inner: res, planReused: hit, viewHit: vh, exported: exported}, nil
 }
 
 // ExecuteTo executes a CleanM statement under ctx and pumps its primary
@@ -934,32 +949,10 @@ func (db *DB) QueryContext(ctx context.Context, q string, args ...any) (*Result,
 // still work — the partitions remain addressable — so printing a sample
 // after an export costs nothing extra.
 func (db *DB) ExecuteTo(ctx context.Context, q string, s Sink, args ...any) (*Result, error) {
-	prep, hit, err := db.prepare(ctx, q)
-	if err != nil {
-		return nil, err
+	if s == nil {
+		return nil, fmt.Errorf("cleandb: ExecuteTo needs a sink")
 	}
-	params, err := bindArgs(prep.Params(), args)
-	if err != nil {
-		return nil, err
-	}
-	if res, vh, served, err := db.viewExecute(ctx, q, prep, params); served || err != nil {
-		if err != nil {
-			return nil, err
-		}
-		// A view answers the statement without re-executing; the export
-		// itself still streams partition-parallel under ctx.
-		exported, err := res.ExportTo(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{inner: res, planReused: hit, viewHit: vh, exported: exported}, nil
-	}
-	res, err := prep.ExecuteToContext(ctx, params, s)
-	if err != nil {
-		return nil, err
-	}
-	db.storeView(q, prep, params, res)
-	return &Result{inner: res, planReused: hit, exported: res.Stats.ExportedRows}, nil
+	return db.run(ctx, q, s, args)
 }
 
 // PrepareStmt parses, de-sugars, normalizes and lowers a CleanM statement

@@ -124,6 +124,56 @@ func TestMetricsAccumulateAndReset(t *testing.T) {
 	}
 }
 
+// TestInstanceMetricsBoundedAcrossQueries: serving a query folds its stage
+// records into the instance collector's running totals, so the instance
+// neither keeps a record per query served (its stage log and live heap stop
+// growing) nor loses anything DB.Metrics reports: over a mixed sequence the
+// instance totals are the sum of the queries' own.
+func TestInstanceMetricsBoundedAcrossQueries(t *testing.T) {
+	db := demoDB()
+	queries := []string{
+		`SELECT c.name FROM customer c WHERE c.nationkey > 1`,
+		`SELECT * FROM customer c FD(c.address, c.nationkey)`,
+		`SELECT * FROM customer c DEDUP(token_filtering, LD, 0.6, c.name)`,
+	}
+	var want Metrics
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			res, err := db.Query(queries[i%len(queries)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Metrics()
+			want.SimTicks += m.SimTicks
+			want.Comparisons += m.Comparisons
+			want.ShuffledRecords += m.ShuffledRecords
+			want.ShuffledBytes += m.ShuffledBytes
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := db.Metrics() // what loading the sources logged
+	serve(1500)
+	stages, heap := len(db.ctx.Metrics().Stages()), liveHeap()
+	serve(4500)
+	if n := len(db.ctx.Metrics().Stages()); n != stages {
+		t.Fatalf("instance stage log grew from %d to %d records over 4,500 more queries", stages, n)
+	}
+	// Keeping every record is 24,000 more of them here, ~135 B each: ~3 MB.
+	if grown := int64(liveHeap()) - int64(heap); grown > 1<<20 {
+		t.Fatalf("live heap grew %d bytes over 4,500 more queries", grown)
+	}
+	got := db.Metrics()
+	if got.SimTicks-base.SimTicks != want.SimTicks || got.Comparisons != want.Comparisons ||
+		got.ShuffledRecords != want.ShuffledRecords || got.ShuffledBytes != want.ShuffledBytes {
+		t.Fatalf("instance metrics %+v (before the first query %+v), the queries sum to %+v", got, base, want)
+	}
+}
+
 func TestStandaloneOption(t *testing.T) {
 	db := Open(WithWorkers(2), WithStandaloneOps())
 	demoSrc := demoDB()

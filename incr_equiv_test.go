@@ -30,25 +30,65 @@ import (
 
 // incrQueries are the delta-decomposable statements: single-task DENIAL
 // (detect-only and REPAIR) and single-task DEDUP with append-stable
-// blocking. Each queries exactly one source.
+// blocking. Each queries exactly one source. A DEDUP's delta pass is its own
+// plan under a fresh mask, so whatever the plan expresses — WHERE filters,
+// parameters, any unfitted blocker — is delta-served by construction; the
+// DEDUP entries spell those out.
 var incrQueries = []struct {
 	name    string
 	query   string
+	args    []any
 	source  string
 	repairs string
 	// dc marks statements whose cold run charges per-pair comparisons, so
 	// the delta run's count must be strictly below it.
 	dc bool
+	// quiet marks a DEDUP whose appended rows share a block with nobody: its
+	// delta pass must enumerate nothing.
+	quiet bool
 }{
 	{
+		// customer's tail rows each have an address of their own.
 		name:   "dedup_attribute",
 		query:  `SELECT * FROM customer c DEDUP(attribute, LD, 0.8, c.address, c.name, c.phone)`,
 		source: "customer",
+		quiet:  true,
+	},
+	{
+		name:   "dedup_attribute_twins",
+		query:  `SELECT * FROM twins c DEDUP(attribute, LD, 0.8, c.address, c.name, c.phone)`,
+		source: "twins",
 	},
 	{
 		name:   "dedup_tf",
 		query:  `SELECT * FROM customer c DEDUP(token_filtering, LD, 0.7, c.name)`,
 		source: "customer",
+	},
+	{
+		// The columnar WHERE gathers a new batch and re-boxes the survivors:
+		// group members are not the source's records, only equal to them.
+		name:   "dedup_where",
+		query:  `SELECT * FROM customer c WHERE c.nationkey >= 3 DEDUP(token_filtering, LD, 0.7, c.name)`,
+		source: "customer",
+	},
+	{
+		name:   "dedup_param",
+		query:  `SELECT * FROM customer c DEDUP(token_filtering, LD, :theta, c.name)`,
+		args:   []any{Named("theta", 0.7)},
+		source: "customer",
+	},
+	{
+		name:   "dedup_length",
+		query:  `SELECT * FROM customer c DEDUP(length, LD, 0.7, c.name)`,
+		source: "customer",
+	},
+	{
+		// twins' delta repeats two base rows value for value — the base twins
+		// count as fresh, and the pairs that rediscovers are dropped as repeats
+		// — and adds a near-duplicate of a third at its address.
+		name:   "dedup_twins",
+		query:  `SELECT * FROM twins c DEDUP(token_filtering, LD, 0.7, c.name)`,
+		source: "twins",
 	},
 	{
 		name: "denial_detect",
@@ -77,6 +117,30 @@ func incrData() (custBase, custDelta, lineBase, lineDelta []Value) {
 	lb := len(lineitem) - len(lineitem)/10
 	return customer[:cb], customer[cb:], lineitem[:lb], lineitem[lb:]
 }
+
+// withTwins returns delta followed by copies — equal values, new records —
+// of the first two base rows and a copy of the third under a new custkey.
+func withTwins(base, delta []Value) []Value {
+	out := append([]Value{}, delta...)
+	for i, v := range base[:3] {
+		rec := v.Record()
+		fields := append([]Value{}, rec.Fields...)
+		if i == 2 {
+			fields[0] = Int(int64(len(base) + len(out) + 1))
+		}
+		out = append(out, NewRecord(rec.Schema, fields))
+	}
+	return out
+}
+
+// registerIncr registers the three sources of incrQueries.
+func registerIncr(db *DB, customer, twins, lineitem []Value) {
+	db.RegisterRows("customer", customer)
+	db.RegisterRows("twins", twins)
+	db.RegisterRows("lineitem", lineitem)
+}
+
+func concat(a, b []Value) []Value { return append(append([]Value{}, a...), b...) }
 
 // checkIncrEquiv compares a delta-served result against a cold full
 // execution: identical rows, task rows and repaired rows.
@@ -154,27 +218,26 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 		{"sort_mbucket", physical.GroupSort, physical.ThetaMBucket},
 	}
 	custBase, custDelta, lineBase, lineDelta := incrData()
+	twinDelta := withTwins(custBase, custDelta)
 	for _, workers := range []int{1, 3, 8} {
 		for _, st := range strategies {
 			opts := []Option{WithWorkers(workers),
 				WithGroupStrategy(st.group), WithThetaStrategy(st.theta)}
-			inc := Open(append([]Option{WithViewCache(8)}, opts...)...)
-			inc.RegisterRows("customer", custBase)
-			inc.RegisterRows("lineitem", lineBase)
+			inc := Open(append([]Option{WithViewCache(16)}, opts...)...)
+			registerIncr(inc, custBase, custBase, lineBase)
 			cold := Open(opts...)
-			cold.RegisterRows("customer", append(append([]Value{}, custBase...), custDelta...))
-			cold.RegisterRows("lineitem", append(append([]Value{}, lineBase...), lineDelta...))
+			registerIncr(cold, concat(custBase, custDelta), concat(custBase, twinDelta), concat(lineBase, lineDelta))
 
 			for _, q := range incrQueries {
 				label := fmt.Sprintf("w%d/%s/%s", workers, st.name, q.name)
-				first, err := inc.Query(q.query)
+				first, err := inc.Query(q.query, q.args...)
 				if err != nil {
 					t.Fatalf("%s: base query: %v", label, err)
 				}
 				if first.ViewHit() != "" {
 					t.Fatalf("%s: first execution served from view %q", label, first.ViewHit())
 				}
-				again, err := inc.Query(q.query)
+				again, err := inc.Query(q.query, q.args...)
 				if err != nil {
 					t.Fatalf("%s: repeat query: %v", label, err)
 				}
@@ -184,17 +247,16 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 				diffRows(t, label+"/exact", canonRows(again.Rows()), canonRows(first.Rows()))
 			}
 
-			if err := inc.Append("customer", custDelta); err != nil {
-				t.Fatalf("append customer: %v", err)
-			}
-			if err := inc.Append("lineitem", lineDelta); err != nil {
-				t.Fatalf("append lineitem: %v", err)
+			for name, delta := range map[string][]Value{"customer": custDelta, "twins": twinDelta, "lineitem": lineDelta} {
+				if err := inc.Append(name, delta); err != nil {
+					t.Fatalf("append %s: %v", name, err)
+				}
 			}
 
 			for _, q := range incrQueries {
 				label := fmt.Sprintf("w%d/%s/%s", workers, st.name, q.name)
 				before := inc.Metrics()
-				got, err := inc.Query(q.query)
+				got, err := inc.Query(q.query, q.args...)
 				if err != nil {
 					t.Fatalf("%s: delta query: %v", label, err)
 				}
@@ -209,11 +271,29 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 					!reflect.DeepEqual(grew.Strategies, gm.Strategies) {
 					t.Fatalf("%s: instance metrics grew by %+v, the query reports %+v", label, grew, gm)
 				}
-				want, err := cold.Query(q.query)
+				want, err := cold.Query(q.query, q.args...)
 				if err != nil {
 					t.Fatalf("%s: cold query: %v", label, err)
 				}
 				checkIncrEquiv(t, label, got, want, q.repairs)
+				if !q.dc {
+					// A DEDUP delta is the plan under a mask: the stages, the
+					// ledger and the cost model see it like the cold run, at
+					// the pairs with a fresh member instead of all of them.
+					wm := want.Metrics()
+					if !reflect.DeepEqual(gm.Strategies, wm.Strategies) || gm.Strategies["pairs:self"] != 1 {
+						t.Fatalf("%s: delta strategies %v, cold %v", label, gm.Strategies, wm.Strategies)
+					}
+					if q.name == "dedup_where" && gm.BatchesEvaluated == 0 {
+						t.Fatalf("%s: the WHERE did not run as a columnar filter", label)
+					}
+					if gm.SimTicks <= 0 || gm.SimTicks >= wm.SimTicks {
+						t.Fatalf("%s: delta SimTicks %d, cold %d", label, gm.SimTicks, wm.SimTicks)
+					}
+					if gm.Comparisons >= wm.Comparisons || (gm.Comparisons == 0) != q.quiet {
+						t.Fatalf("%s: delta Comparisons %d (quiet: %v), cold %d", label, gm.Comparisons, q.quiet, wm.Comparisons)
+					}
+				}
 				if q.dc {
 					// The ledger shows the delta pass in place of the cold join
 					// and, beside it, the same fixpoint re-checks (themselves
@@ -274,7 +354,7 @@ func (c *cancelAfter) Err() error {
 // pass in the ledger, fewer comparisons than the whole pass charges.
 func TestDeltaCancelledMidPassMergesMetricsOnce(t *testing.T) {
 	_, _, lineBase, lineDelta := incrData()
-	q := incrQueries[3].query
+	q := incrQueries[len(incrQueries)-1].query
 	warm := func() *DB {
 		db := Open(WithWorkers(3), WithViewCache(4))
 		db.RegisterRows("lineitem", lineBase)
@@ -306,6 +386,86 @@ func TestDeltaCancelledMidPassMergesMetricsOnce(t *testing.T) {
 	if grew.Comparisons <= 0 || grew.Comparisons >= full.Comparisons {
 		t.Fatalf("cancelled delta charged %d comparisons, the whole execution %d", grew.Comparisons, full.Comparisons)
 	}
+}
+
+// TestDeltaDedupCancelledMidPassMergesMetricsOnce is the same property for a
+// delta-served DEDUP, whose pass is the plan's own stages: cancelled inside
+// the self-pair stage, the execution fails after the stage's up-front charge,
+// and the instance accumulators grow by that partial work once — the stages
+// before the cancellation, one pairs:self in the ledger, the whole pass's
+// comparisons.
+func TestDeltaDedupCancelledMidPassMergesMetricsOnce(t *testing.T) {
+	custBase, custDelta, _, _ := incrData()
+	q := `SELECT * FROM customer c DEDUP(token_filtering, LD, 0.7, c.name)`
+	warm := func() *DB {
+		db := Open(WithWorkers(1), WithViewCache(4))
+		db.RegisterRows("customer", custBase)
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Append("customer", custDelta); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	// Count the polls of an uncancelled delta — nearly all of them are the
+	// pair stage's, one per list element — and cancel half and three quarters
+	// of the way through.
+	whole := warm()
+	before := whole.Metrics()
+	counter := &cancelAfter{Context: context.Background(), n: 1 << 60}
+	res, err := whole.QueryContext(counter, q)
+	if err != nil || res.ViewHit() != "delta" {
+		t.Fatalf("uncancelled delta: hit %q, err %v", res.ViewHit(), err)
+	}
+	full := metricsGrowth(before, whole.Metrics())
+
+	for _, n := range []int64{counter.polls.Load() / 2, counter.polls.Load() * 3 / 4} {
+		db := warm()
+		before = db.Metrics()
+		ctx := &cancelAfter{Context: context.Background(), n: n}
+		if _, err := db.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("delta cancelled at poll %d returned %v", n, err)
+		}
+		grew := metricsGrowth(before, db.Metrics())
+		if grew.SimTicks <= 0 || grew.SimTicks >= full.SimTicks || grew.Comparisons != full.Comparisons ||
+			!reflect.DeepEqual(grew.Strategies, full.Strategies) {
+			t.Fatalf("cancelled at poll %d: instance grew %+v, the whole delta %+v", n, grew, full)
+		}
+	}
+}
+
+// TestFittedBlockerFallsBackToFullRun: k-means centers are fitted from the
+// data, so an append moves old rows' block keys and the statement is not
+// delta-served — the appended re-execution is a full run, equal to a cold one.
+func TestFittedBlockerFallsBackToFullRun(t *testing.T) {
+	custBase, custDelta, _, _ := incrData()
+	q := `SELECT * FROM customer c DEDUP(KMeans, LD, 0.7, c.name)`
+	inc := Open(WithViewCache(4))
+	inc.RegisterRows("customer", custBase)
+	if _, err := inc.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := inc.Query(q); err != nil || again.ViewHit() != "exact" {
+		t.Fatalf("repeat: hit %q, err %v", again.ViewHit(), err)
+	}
+	if err := inc.Append("customer", custDelta); err != nil {
+		t.Fatal(err)
+	}
+	got, err := inc.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ViewHit() != "" {
+		t.Fatalf("k-means DEDUP over an appended source served from view %q", got.ViewHit())
+	}
+	cold := Open()
+	cold.RegisterRows("customer", concat(custBase, custDelta))
+	want, err := cold.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIncrEquiv(t, "kmeans", got, want, "")
 }
 
 // writeCSVFile renders rows as CSV (header + cells) into path.
@@ -350,11 +510,18 @@ func TestIncrementalCSVRefreshEquivalence(t *testing.T) {
 	path := filepath.Join(dir, "customer.csv")
 	writeCSVFile(t, path, custBase)
 
+	// The second statement filters the parsed rows through a column batch:
+	// its group members are re-boxed copies of the rows the file scan kept.
+	queries := []string{
+		`SELECT * FROM customer c DEDUP(token_filtering, LD, 0.7, c.name)`,
+		`SELECT * FROM customer c WHERE c.nationkey >= 3 DEDUP(token_filtering, LD, 0.7, c.name)`,
+	}
 	inc := Open(WithViewCache(4))
 	inc.RegisterCSVFile("customer", path)
-	query := `SELECT * FROM customer c DEDUP(token_filtering, LD, 0.7, c.name)`
-	if _, err := inc.Query(query); err != nil {
-		t.Fatalf("base query: %v", err)
+	for _, query := range queries {
+		if _, err := inc.Query(query); err != nil {
+			t.Fatalf("base query: %v", err)
+		}
 	}
 
 	appendCSVFile(t, path, custDelta)
@@ -366,21 +533,22 @@ func TestIncrementalCSVRefreshEquivalence(t *testing.T) {
 		t.Fatalf("refresh added %d rows, want %d", added, len(custDelta))
 	}
 
-	got, err := inc.Query(query)
-	if err != nil {
-		t.Fatalf("delta query: %v", err)
-	}
-	if got.ViewHit() != "delta" {
-		t.Fatalf("post-refresh execution not a delta view hit (got %q)", got.ViewHit())
-	}
-
 	cold := Open()
 	cold.RegisterCSVFile("customer", path)
-	want, err := cold.Query(query)
-	if err != nil {
-		t.Fatalf("cold query: %v", err)
+	for i, query := range queries {
+		got, err := inc.Query(query)
+		if err != nil {
+			t.Fatalf("delta query: %v", err)
+		}
+		if got.ViewHit() != "delta" {
+			t.Fatalf("post-refresh execution not a delta view hit (got %q)", got.ViewHit())
+		}
+		want, err := cold.Query(query)
+		if err != nil {
+			t.Fatalf("cold query: %v", err)
+		}
+		checkIncrEquiv(t, fmt.Sprintf("csv_refresh/%d", i), got, want, "")
 	}
-	checkIncrEquiv(t, "csv_refresh", got, want, "")
 
 	info, err := inc.SourceInfo("customer")
 	if err != nil {

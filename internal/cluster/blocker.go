@@ -394,6 +394,15 @@ func ParseBlocker(op string, param int, fitValues []string) (Blocker, error) {
 	}
 }
 
+// Fitted reports whether the named operator's blocker is fitted from data:
+// its keys then depend on the fit values handed to ParseBlocker, not on the
+// blocked string alone. Only k-means is.
+func Fitted(op string) bool {
+	b, _ := ParseBlocker(op, 0, nil)
+	_, fitted := b.(KMeans)
+	return fitted
+}
+
 // Groups materializes the blocker's grouping of values: key → members.
 // Deterministic output (keys sorted, members in input order).
 func Groups(b Blocker, values []string) map[string][]string {

@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"cleandb/internal/cleaning"
+	"cleandb/internal/cluster"
 	"cleandb/internal/engine"
-	"cleandb/internal/incr"
 	"cleandb/internal/lang"
-	"cleandb/internal/monoid"
+	"cleandb/internal/physical"
 	"cleandb/internal/types"
 )
 
@@ -21,10 +20,13 @@ import (
 // pass, and producing the canonical pair rows of such an execution from a
 // cached Result plus the pairs that touch fresh tuples. Nothing else differs
 // from a cold execution: executeWith (pipeline.go) is the one tail — REPAIR,
-// metrics, stats, export — and compileDenial (repair.go) the one reading of a
-// DENIAL, shared by the delta pass here and the REPAIR fixpoint. The outcome
-// is bit-identical (rows, task rows, repair summaries) to a cold full
-// re-clean.
+// metrics, stats, export. A DEDUP's delta pass is the statement's own plan,
+// executed with the appended rows as the fresh mask of its self-pair stage;
+// a DENIAL's is cleaning.DeltaDCPairs under compileDenial (repair.go), the
+// one reading of a DENIAL it shares with the REPAIR fixpoint. What is
+// delta-specific here is eligibility, DEDUP's repeat filter and the
+// sorted-run merge. The outcome is bit-identical (rows, task rows, repair
+// summaries) to a cold full re-clean.
 //
 // The bit-identity contract leans on two facts. First, every single-task
 // DENIAL/DEDUP execution — cold or incremental — reports its pair rows in
@@ -62,45 +64,29 @@ type IncrInfo struct {
 // structural (single task, single source, delta-decomposable operator); the
 // caller still decides whether a suitable cached Result exists.
 func (pr *Prepared) Incremental() IncrInfo {
-	if len(pr.tasks) != 1 || pr.combined != nil {
+	if len(pr.tasks) != 1 || pr.combined != nil || len(pr.sources) != 1 {
 		return IncrInfo{}
 	}
-	t := pr.tasks[0]
-	switch {
+	switch t := pr.tasks[0]; {
 	case t.Denial != nil:
-		if len(pr.sources) != 1 {
-			return IncrInfo{}
-		}
 		return IncrInfo{Kind: IncrDenial, Source: t.Denial.Source}
-	case t.Dedup != nil:
-		if len(pr.sources) != 1 || !appendStableBlocker(&t) {
-			return IncrInfo{}
-		}
+	case t.Dedup != nil && appendStableBlocker(&t):
 		return IncrInfo{Kind: IncrDedup, Source: t.Dedup.Source}
 	}
 	return IncrInfo{}
 }
 
 // appendStableBlocker reports whether the task's blocking keys depend on
-// nothing but the blocked row itself. Exact/attribute blocking, token
-// filtering and length filtering qualify; a fitted blocker (k-means centers
-// chosen from a data sample) does not — appending rows changes the fit, and
-// with it the block keys of old rows, so the cached pair set would be
-// computed against a different blocking than the delta's.
+// nothing but the blocked row itself. Every blocker but a fitted one
+// (k-means centers chosen from a data sample) qualifies — appending rows
+// changes the fit, and with it the block keys of old rows, so the cached pair
+// set would be computed against a different blocking than the delta's.
 func appendStableBlocker(t *lang.Task) bool {
-	spec := t.Dedup
-	if spec.BlockerFn == "" {
+	if t.Dedup.BlockerFn == "" {
 		return true // exact value blocking: no builtin at all
 	}
-	b, ok := t.Blockers[spec.BlockerFn]
-	if !ok {
-		return false
-	}
-	switch strings.ToLower(strings.TrimSpace(b.Spec.Op)) {
-	case "token_filtering", "tf", "token filtering", "length", "len":
-		return true
-	}
-	return false
+	b, ok := t.Blockers[t.Dedup.BlockerFn]
+	return ok && !cluster.Fitted(b.Spec.Op)
 }
 
 // Source returns the dataset this statement resolved for name at prepare
@@ -162,37 +148,46 @@ func (pr *Prepared) ExecuteDeltaContext(goctx context.Context, params map[string
 // index pair is a row, nothing is a repeat); DEDUP has set semantics, so a
 // pair reported for the base is skipped even when a value-identical fresh row
 // rediscovers it.
-func (pr *Prepared) deltaPairRows(tab *types.TupleTable, job *engine.Context, base *DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
+func (pr *Prepared) deltaPairRows(ex *physical.Executor, tab *types.TupleTable, base *DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
 	info := pr.Incremental()
-	ds := pr.sources[info.Source].WithContext(job)
-	freshAt := func(i int, _ types.Value) bool { return i >= base.BaseRows }
+	ds := pr.sources[info.Source].WithContext(ex.Ctx)
 	prior := base.Res.Tasks[0].Output.Rows()
 	priorKeys := base.Res.priorKeys(tab, prior)
 
-	var pairs [][2]types.Value
-	repeat := func(types.Value) bool { return false }
+	var fresh []types.Value
 	if info.Kind == IncrDenial {
 		cfg, err := compileDenial(pr.tasks[0].Denial, pr.pipeline.Config.Theta, params)
 		if err != nil {
 			return nil, pairKeys{}, err
 		}
-		if pairs, err = cleaning.DeltaDCPairs(ds, freshAt, cfg); err != nil {
-			return nil, pairKeys{}, err
-		}
-	} else {
-		d, err := pr.compileDedupDelta(params)
+		freshAt := func(i int, _ types.Value) bool { return i >= base.BaseRows }
+		pairs, err := cleaning.DeltaDCPairs(ds, freshAt, cfg)
 		if err != nil {
 			return nil, pairKeys{}, err
 		}
-		if pairs, err = d.Pairs(ds, freshAt); err != nil {
+		fresh = make([]types.Value, len(pairs))
+		for i, p := range pairs {
+			fresh[i] = types.NewRecord(pairSchema, []types.Value{p[0], p[1]})
+		}
+	} else {
+		// Group members are the scanned records, which a columnar WHERE
+		// re-boxes, so a fresh row is recognised by value: an old row equal to
+		// an appended one counts as fresh too, and the pairs that adds are
+		// repeats of the base's.
+		appended := map[string]bool{}
+		for _, v := range ds.Collect()[base.BaseRows:] {
+			appended[types.Key(v)] = true
+		}
+		ex.SetFreshMask(func(key string) bool { return appended[key] })
+		rows, err := planPairRows(ex, pr.plans[0])
+		if err != nil {
 			return nil, pairKeys{}, err
 		}
-		repeat = repeatedPairs(tab, priorKeys)
-	}
-	fresh := make([]types.Value, 0, len(pairs))
-	for _, p := range pairs {
-		if r := types.NewRecord(pairSchema, []types.Value{p[0], p[1]}); !repeat(r) {
-			fresh = append(fresh, r)
+		repeat := repeatedPairs(tab, priorKeys)
+		for _, r := range rows {
+			if !repeat(r) {
+				fresh = append(fresh, r)
+			}
 		}
 	}
 	freshKeys := sortRowsByKey(tab, fresh)
@@ -200,25 +195,20 @@ func (pr *Prepared) deltaPairRows(tab *types.TupleTable, job *engine.Context, ba
 	return rows, keys, nil
 }
 
-// repeatedPairs returns DEDUP's set-semantics filter over candidate pair
-// rows: a candidate is a repeat when the base reported it — both members'
-// keys are in the prior pool and that pair of pool positions is a prior row —
-// or when an earlier candidate had the same two tuples.
+// repeatedPairs returns DEDUP's set-semantics filter over the delta pass's
+// pair rows (distinct among themselves — the plan ends in a set reduce): a
+// row is a repeat when the base reported it, that is, both members' keys are
+// in the prior pool and that pair of pool positions is a prior row.
 func repeatedPairs(tab *types.TupleTable, priorKeys pairKeys) func(types.Value) bool {
 	reported := make(map[[2]int32]bool, len(priorKeys.of))
 	for _, m := range priorKeys.of {
 		reported[m] = true
 	}
-	found := map[[2]int32]bool{}
 	return func(r types.Value) bool {
 		a, b := pairIDs(tab, r)
 		pa, inA := slices.BinarySearch(priorKeys.pool, tab.Key(a))
 		pb, inB := slices.BinarySearch(priorKeys.pool, tab.Key(b))
-		if found[[2]int32{a, b}] || (inA && inB && reported[[2]int32{int32(pa), int32(pb)}]) {
-			return true
-		}
-		found[[2]int32{a, b}] = true
-		return false
+		return inA && inB && reported[[2]int32{int32(pa), int32(pb)}]
 	}
 }
 
@@ -287,87 +277,6 @@ func mergeSortedRuns(tab *types.TupleTable, a []types.Value, aKeys pairKeys, b [
 
 // pairSchema is the {a, b} record shape of DENIAL and DEDUP task output.
 var pairSchema = types.NewSchema("a", "b")
-
-// compileDedupDelta compiles the analyzed DEDUP structure into the delta
-// detector's closures, with semantics identical to the desugared
-// comprehension: WHERE filters, then blocking (through the same fitted
-// builtin the plan uses), then the similar(metric, ..., theta) predicate.
-func (pr *Prepared) compileDedupDelta(params map[string]types.Value) (incr.DedupDelta, error) {
-	spec := pr.tasks[0].Dedup
-	var d incr.DedupDelta
-	comp := monoid.NewCompiler()
-	comp.Params = params
-	for name, fn := range pr.builtins {
-		comp.Builtins[name] = fn
-	}
-
-	if f := monoid.AndAll(spec.Where); f != nil {
-		ce, err := comp.Compile(f, map[string]int{spec.Alias: 0})
-		if err != nil {
-			return d, err
-		}
-		d.Keep = func(v types.Value) bool {
-			out, err := ce([]types.Value{v})
-			return err == nil && out.Bool()
-		}
-	}
-
-	blockCE, err := comp.Compile(spec.BlockAttr, map[string]int{spec.Alias: 0})
-	if err != nil {
-		return d, err
-	}
-	if spec.BlockerFn == "" {
-		// Exact blocking groups on the attribute value itself; the canonical
-		// key encoding is the grouping equality.
-		d.BlockKeys = func(v types.Value) ([]string, error) {
-			out, err := blockCE([]types.Value{v})
-			if err != nil {
-				return nil, err
-			}
-			return []string{types.Key(out)}, nil
-		}
-	} else {
-		blk, ok := pr.builtins[spec.BlockerFn]
-		if !ok {
-			return d, fmt.Errorf("core: blocker builtin %q not fitted", spec.BlockerFn)
-		}
-		d.BlockKeys = func(v types.Value) ([]string, error) {
-			attr, err := blockCE([]types.Value{v})
-			if err != nil {
-				return nil, err
-			}
-			keys, err := blk([]types.Value{attr})
-			if err != nil {
-				return nil, err
-			}
-			list := keys.List()
-			out := make([]string, len(list))
-			for i, k := range list {
-				out[i] = k.Str()
-			}
-			return out, nil
-		}
-	}
-
-	pairExpr := &monoid.Call{Fn: "similar", Args: []monoid.Expr{
-		monoid.CStr(spec.Metric),
-		monoid.Substitute(spec.SimExpr, spec.Alias, monoid.V("$p1")),
-		monoid.Substitute(spec.SimExpr, spec.Alias, monoid.V("$p2")),
-		spec.ThetaExpr,
-	}}
-	pairCE, err := comp.Compile(pairExpr, map[string]int{"$p1": 0, "$p2": 1})
-	if err != nil {
-		return d, err
-	}
-	d.Pair = func(a, b types.Value) (bool, error) {
-		out, err := pairCE([]types.Value{a, b})
-		if err != nil {
-			return false, err
-		}
-		return out.Bool(), nil
-	}
-	return d, nil
-}
 
 // canonicalPairTask reports whether the statement's single task is a
 // DENIAL/DEDUP whose output execute() pins to canonical key order — the

@@ -339,7 +339,7 @@ func (p *Pipeline) Prepare(query string) (*Prepared, error) {
 func (pr *Prepared) fitBlocker(name string, b lang.BlockerBinding) error {
 	p := pr.pipeline
 	var fitValues []string
-	if b.FitSource != "" && strings.EqualFold(b.Spec.Op, "kmeans") {
+	if b.FitSource != "" && cluster.Fitted(b.Spec.Op) {
 		if !p.Catalog.Has(b.FitSource) {
 			return fmt.Errorf("core: blocker fit source %q not in catalog", b.FitSource)
 		}
@@ -411,11 +411,9 @@ func (pr *Prepared) ExecuteContext(goctx context.Context, params map[string]type
 // aborts the operator loops, and nothing is buffered beyond the partitions
 // in flight. The rows reach the sink without ever being flattened; the
 // returned Result still carries the partition views, metrics (including
-// Stats.ExportedRows) and repair summaries.
+// Stats.ExportedRows) and repair summaries. A nil s exports nothing: the call
+// is then ExecuteContext.
 func (pr *Prepared) ExecuteToContext(goctx context.Context, params map[string]types.Value, s sink.Sink) (*Result, error) {
-	if s == nil {
-		return nil, fmt.Errorf("core: ExecuteToContext needs a sink")
-	}
 	return pr.executeWith(goctx, params, s, nil)
 }
 
@@ -493,7 +491,7 @@ func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params m
 			// over a cached view reproduce a cold run bit for bit (see
 			// incr.go). Pair rows are row-backed, so flattening here costs
 			// what the first consumer would have paid.
-			rows, keys, err := pr.canonicalPairRows(ex, tab, job, base, params)
+			rows, keys, err := pr.canonicalPairRows(ex, tab, base, params)
 			if err != nil {
 				return nil, err
 			}
@@ -546,16 +544,24 @@ func (pr *Prepared) execute(ex *physical.Executor, job *engine.Context, params m
 // canonicalPairRows produces the single DENIAL/DEDUP task's pair rows and
 // their canonical keys, in key order: by running the plan and sorting, or —
 // delta-served, base non-nil — from the cached view plus a delta pass.
-func (pr *Prepared) canonicalPairRows(ex *physical.Executor, tab *types.TupleTable, job *engine.Context, base *DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
+func (pr *Prepared) canonicalPairRows(ex *physical.Executor, tab *types.TupleTable, base *DeltaBase, params map[string]types.Value) ([]types.Value, pairKeys, error) {
 	if base != nil {
-		return pr.deltaPairRows(tab, job, base, params)
+		return pr.deltaPairRows(ex, tab, base, params)
 	}
-	d, err := ex.Exec(pr.plans[0])
+	rows, err := planPairRows(ex, pr.plans[0])
 	if err != nil {
 		return nil, pairKeys{}, err
 	}
-	rows := unwrapOut(d.Collect())
 	return rows, sortRowsByKey(tab, rows), nil
+}
+
+// planPairRows runs a pair task's plan and returns its {a, b} rows.
+func planPairRows(ex *physical.Executor, plan algebra.Plan) ([]types.Value, error) {
+	d, err := ex.Exec(plan)
+	if err != nil {
+		return nil, err
+	}
+	return unwrapOut(d.Collect()), nil
 }
 
 // ExportTo pumps the result's primary output into s and returns the rows

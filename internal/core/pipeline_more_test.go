@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cleandb/internal/cluster"
 	"cleandb/internal/engine"
 	"cleandb/internal/physical"
 	"cleandb/internal/types"
@@ -233,5 +234,35 @@ func TestWhereEquiJoinPushedIntoJoin(t *testing.T) {
 	}
 	if !strings.Contains(prep.Explain(), "EquiJoin") {
 		t.Fatalf("expected an equi-join:\n%s", prep.Explain())
+	}
+}
+
+// TestDeltaEligibilityFollowsBlockerFit: a single-source DEDUP can be
+// delta-served exactly when its blocker is not fitted from data, for every
+// spelling of every operator the parser can hand to cluster.ParseBlocker.
+func TestDeltaEligibilityFollowsBlockerFit(t *testing.T) {
+	ctx := engine.NewContext(2)
+	p := NewPipeline(ctx, testCatalog(ctx))
+	for _, op := range []string{
+		"token_filtering", "Token_Filtering", "tf", "TF", "tf(2)",
+		"length", "LENGTH", "len", "Len(3)",
+		"attribute", "Attribute", "exact", "EXACT",
+		"kmeans", "KMeans", "KMEANS", "kmeans(4)",
+	} {
+		prep, err := p.Prepare(`SELECT * FROM customer c DEDUP(` + op + `, LD, 0.6, c.name)`)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		name, _, _ := strings.Cut(op, "(")
+		want := IncrDedup
+		if cluster.Fitted(name) {
+			want = IncrNone
+		}
+		if got := prep.Incremental().Kind; got != want {
+			t.Errorf("DEDUP(%s): incremental kind %v, want %v (fitted: %v)", op, got, want, cluster.Fitted(name))
+		}
+	}
+	if !cluster.Fitted("kmeans") || cluster.Fitted("tf") || cluster.Fitted("no_such_blocker") {
+		t.Fatal("cluster.Fitted: only k-means is fitted from data")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -110,6 +111,7 @@ func (c *Context) Err() error {
 type Metrics struct {
 	mu         sync.Mutex
 	stages     []StageStats
+	folded     stageTotals // stages Merge evicted from the log
 	strategies map[string]int64
 
 	recordsProcessed atomic.Int64
@@ -122,6 +124,35 @@ type Metrics struct {
 	dictMisses       atomic.Int64
 	simCacheHits     atomic.Int64
 	simCacheMisses   atomic.Int64
+}
+
+// recentStages bounds the stage log of a collector that finished jobs are
+// merged into: it keeps this many of the most recent records and the totals
+// of the rest, so an instance serving queries forever stays the same size.
+const recentStages = 1024
+
+// stageTotals is what SimTicks, TotalCost and MaxStageCost read off a run of
+// stage records.
+type stageTotals struct{ ticks, cost, maxCost int64 }
+
+// add folds one stage in. A stage finishes when its straggler finishes, plus
+// a network term: shuffling is spread over workers but serialization and
+// deserialization costs scale with volume.
+func (t *stageTotals) add(s StageStats) {
+	t.ticks += s.MaxCost() + s.ShuffledRecords/2
+	t.cost += s.TotalCost()
+	t.maxCost = max(t.maxCost, s.MaxCost())
+}
+
+// totals returns the totals over every stage ever logged or merged in.
+func (m *Metrics) totals() stageTotals {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := m.folded
+	for _, s := range m.stages {
+		t.add(s)
+	}
+	return t
 }
 
 // StageStats describes one executed stage.
@@ -159,6 +190,7 @@ func (c *Context) Metrics() *Metrics { return &c.metrics }
 func (m *Metrics) Reset() {
 	m.mu.Lock()
 	m.stages = nil
+	m.folded = stageTotals{}
 	m.strategies = nil
 	m.mu.Unlock()
 	m.recordsProcessed.Store(0)
@@ -240,7 +272,8 @@ func (m *Metrics) ShuffledRecords() int64 { return m.shuffledRecords.Load() }
 // ShuffledBytes returns the estimated bytes moved across the simulated network.
 func (m *Metrics) ShuffledBytes() int64 { return m.shuffledBytes.Load() }
 
-// Stages returns a copy of the stage log.
+// Stages returns a copy of the stage log: every stage logged, unless jobs
+// were merged into this collector — then the recentStages latest records.
 func (m *Metrics) Stages() []StageStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -252,60 +285,44 @@ func (m *Metrics) Stages() []StageStats {
 // SimTicks is the deterministic wall-clock proxy: the sum over stages of the
 // maximum per-worker cost (a stage finishes when its straggler finishes),
 // plus a network term proportional to shuffled records.
-func (m *Metrics) SimTicks() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t int64
-	for _, s := range m.stages {
-		t += s.MaxCost()
-		// Network transfer term: shuffling is spread over workers but
-		// serialization/deserialization costs scale with volume.
-		t += s.ShuffledRecords / 2
-	}
-	return t
-}
+func (m *Metrics) SimTicks() int64 { return m.totals().ticks }
 
 // TotalCost returns the summed worker cost over all stages. Together with
 // MaxStageCost it yields the straggler ratio the experiments use for
 // skew-induced DNF detection: a run whose busiest worker exceeds a small
 // multiple of the fair per-worker share models a cluster losing a node to
 // overload.
-func (m *Metrics) TotalCost() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t int64
-	for _, s := range m.stages {
-		t += s.TotalCost()
-	}
-	return t
-}
+func (m *Metrics) TotalCost() int64 { return m.totals().cost }
 
 // MaxStageCost returns the largest single-worker stage cost observed — the
 // straggler load. The experiment harness uses it to detect runs that a real
 // cluster would lose to an overloaded node (skew-induced DNFs).
-func (m *Metrics) MaxStageCost() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var mx int64
-	for _, s := range m.stages {
-		if c := s.MaxCost(); c > mx {
-			mx = c
-		}
-	}
-	return mx
-}
+func (m *Metrics) MaxStageCost() int64 { return m.totals().maxCost }
 
 // Merge folds the counters and stage log of src into m. Per-query job
 // contexts (Context.Job) collect metrics in isolation; merging them into the
-// instance-wide collector afterwards keeps cumulative totals meaningful.
+// instance-wide collector afterwards keeps cumulative totals meaningful. The
+// totals stay exact however many jobs are merged; of the stage records m
+// keeps the recentStages latest and folds the older ones into the totals.
 func (m *Metrics) Merge(src *Metrics) {
 	if src == nil || src == m {
 		return
 	}
-	stages := src.Stages()
+	src.mu.Lock()
+	stages, folded := slices.Clone(src.stages), src.folded
+	src.mu.Unlock()
 	strategies := src.Strategies()
 	m.mu.Lock()
+	m.folded.ticks += folded.ticks
+	m.folded.cost += folded.cost
+	m.folded.maxCost = max(m.folded.maxCost, folded.maxCost)
 	m.stages = append(m.stages, stages...)
+	if old := len(m.stages) - recentStages; old > 0 {
+		for _, s := range m.stages[:old] {
+			m.folded.add(s)
+		}
+		m.stages = slices.Delete(m.stages, 0, old)
+	}
 	if len(strategies) > 0 {
 		if m.strategies == nil {
 			m.strategies = make(map[string]int64, len(strategies))

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -498,6 +500,61 @@ func TestMetricsReset(t *testing.T) {
 	}
 }
 
+// TestMetricsMergeBoundsStageLog: an instance collector that finished jobs
+// are merged into keeps exact totals — SimTicks and TotalCost the sum,
+// MaxStageCost the max over every job — while its stage log and its live heap
+// stop growing with the number of jobs served.
+func TestMetricsMergeBoundsStageLog(t *testing.T) {
+	inst := NewContext(2)
+	var ticks, cost, maxCost int64
+	serve := func(jobs int) {
+		for i := 0; i < jobs; i++ {
+			job := inst.Job(nil)
+			m := job.Metrics()
+			m.logStage(StageStats{Name: "scan", WorkerCosts: []int64{int64(i % 7), 3}})
+			m.logStage(StageStats{Name: "shuffle", WorkerCosts: []int64{2, int64(i % 11)}, ShuffledRecords: int64(i % 5)})
+			m.logStage(StageStats{Name: "select", WorkerCosts: []int64{1, 1}})
+			ticks, cost = ticks+m.SimTicks(), cost+m.TotalCost()
+			maxCost = max(maxCost, m.MaxStageCost())
+			inst.Metrics().Merge(m)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	serve(2000)
+	before := liveHeap()
+	serve(20000)
+	grown := int64(liveHeap()) - int64(before)
+	m := inst.Metrics()
+	if n := len(m.Stages()); n > recentStages {
+		t.Fatalf("stage log holds %d records after 22,000 jobs, bound is %d", n, recentStages)
+	}
+	if last := m.Stages()[len(m.Stages())-1]; last.Name != "select" {
+		t.Fatalf("latest stage record is %q, want the last job's select", last.Name)
+	}
+	if m.SimTicks() != ticks || m.TotalCost() != cost || m.MaxStageCost() != maxCost {
+		t.Fatalf("totals ticks=%d cost=%d max=%d, the jobs sum to %d / %d / %d",
+			m.SimTicks(), m.TotalCost(), m.MaxStageCost(), ticks, cost, maxCost)
+	}
+	// 20,000 jobs × 3 records × ~130 B is ~8 MB when every record is kept.
+	if grown > 1<<20 {
+		t.Fatalf("live heap grew %d bytes over 20,000 merged jobs", grown)
+	}
+
+	// A collector nothing is merged into keeps every stage it logged.
+	direct := NewContext(1)
+	for i := 0; i < 2*recentStages; i++ {
+		direct.Metrics().logStage(StageStats{Name: "s", WorkerCosts: []int64{1}})
+	}
+	if n := len(direct.Metrics().Stages()); n != 2*recentStages || direct.Metrics().SimTicks() != int64(n) {
+		t.Fatalf("directly logged: %d records, %d ticks", n, direct.Metrics().SimTicks())
+	}
+}
+
 func TestStageStatsAccessors(t *testing.T) {
 	s := StageStats{WorkerCosts: []int64{3, 9, 1}}
 	if s.MaxCost() != 9 || s.TotalCost() != 13 {
@@ -536,7 +593,7 @@ func TestSelfPairs(t *testing.T) {
 	odd := func(fields []types.Value) bool { return (fields[1].Int()+fields[2].Int())%2 == 1 }
 
 	ctx := NewContext(2)
-	d, err := FromValues(ctx, groups).SelfPairs("pairs", out, members, odd)
+	d, err := FromValues(ctx, groups).SelfPairs("pairs", out, members, nil, odd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +622,7 @@ func TestSelfPairs(t *testing.T) {
 	tight := NewContext(2)
 	tight.CompBudget = 5
 	tested := false
-	_, err = FromValues(tight, groups).SelfPairs("pairs", out, members, func([]types.Value) bool {
+	_, err = FromValues(tight, groups).SelfPairs("pairs", out, members, nil, func([]types.Value) bool {
 		tested = true
 		return true
 	})
@@ -574,6 +631,129 @@ func TestSelfPairs(t *testing.T) {
 	}
 	if c := tight.Metrics().Comparisons(); c != 5 {
 		t.Fatalf("Comparisons = %d, want the counter saturated at the budget", c)
+	}
+}
+
+// TestSelfPairsFreshMask: the delta mask splits a list's pairs exactly into
+// old×old and pairs with a fresh element. pairs(old elements only) ∪ masked
+// pairs is the unmasked enumeration over overlapping lists, in the unmasked
+// order among themselves; a list without a fresh element costs nothing and
+// emits nothing; the stage's cost and comparison charge count only the pairs
+// with a fresh element and are charged before any pair is tested; a cancelled
+// job stops mid-list.
+func TestSelfPairsFreshMask(t *testing.T) {
+	env := types.NewSchema("g")
+	out := types.NewSchema("g", "a", "b")
+	list := func(vs ...int64) types.Value {
+		ms := make([]types.Value, len(vs))
+		for i, v := range vs {
+			ms[i] = types.Int(v)
+		}
+		return types.NewRecord(env, []types.Value{types.ListOf(ms)})
+	}
+	members := func(v types.Value) []types.Value { return v.Field("g").List() }
+	all := func([]types.Value) bool { return true }
+	// Elements ≥ 10 are the appended ones. Lists overlap (1, 2 and 11 sit in
+	// two each), the third is fully old, the fourth holds an old twin pair.
+	fresh := func(key string) bool { return len(key) > 1 }
+	groups := []types.Value{list(2, 11, 1, 10), list(1, 2, 12, 11), list(5, 4, 3), list(6, 13, 6), list(14)}
+	var oldOnly []types.Value
+	for _, g := range groups {
+		var olds []int64
+		for _, m := range members(g) {
+			if m.Int() < 10 {
+				olds = append(olds, m.Int())
+			}
+		}
+		oldOnly = append(oldOnly, list(olds...))
+	}
+	pairsOf := func(d *Dataset) []string {
+		var ps []string
+		for _, v := range d.Collect() {
+			ps = append(ps, types.Key(v))
+		}
+		return ps
+	}
+
+	ctx := NewContext(2)
+	unmasked, err := FromValues(ctx, groups).SelfPairs("pairs", out, members, nil, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mctx := NewContext(2)
+	masked, err := FromValues(mctx, groups).SelfPairs("pairs", out, members, fresh, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	olds, err := FromValues(NewContext(2), oldOnly).SelfPairs("pairs", out, members, nil, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every unmasked pair is an old×old pair or a masked pair, and the masked
+	// ones appear in the unmasked order.
+	got, oldSet := pairsOf(masked), map[string]int{}
+	for _, v := range olds.Collect() {
+		oldSet[types.Key(types.List(v.Field("a"), v.Field("b")))]++
+	}
+	next := 0
+	for _, v := range unmasked.Collect() {
+		a, b := v.Field("a"), v.Field("b")
+		if a.Int() < 10 && b.Int() < 10 {
+			if oldSet[types.Key(types.List(a, b))] == 0 {
+				t.Fatalf("old pair %s is not in the old-only enumeration", types.Key(v))
+			}
+			continue
+		}
+		if next == len(got) || got[next] != types.Key(v) {
+			t.Fatalf("masked pairs %v, want next the unmasked %s", got, types.Key(v))
+		}
+		next++
+	}
+	if next != len(got) {
+		t.Fatalf("masked stage emitted %d pairs beyond the unmasked ones with a fresh element", len(got)-next)
+	}
+	// 4 elements with 2 old: 6−1; again 6−1; fully old: 0; (6,13,6): 3−1; singleton: 0.
+	const want = 5 + 5 + 0 + 2 + 0
+	if c := mctx.Metrics().Comparisons(); c != want {
+		t.Fatalf("masked Comparisons = %d, want %d", c, want)
+	}
+	stages := mctx.Metrics().Stages()
+	if last := stages[len(stages)-1]; last.Name != "pairs" || last.TotalCost() != want {
+		t.Fatalf("masked stage %q cost %d, want pairs/%d", last.Name, last.TotalCost(), want)
+	}
+
+	// Fully old input: nothing charged, nothing tested, nothing emitted.
+	octx := NewContext(2)
+	tested := false
+	none, err := FromValues(octx, groups).SelfPairs("pairs", out, members,
+		func(string) bool { return false }, func([]types.Value) bool { tested = true; return true })
+	if err != nil || none.Count() != 0 || tested || octx.Metrics().Comparisons() != 0 {
+		t.Fatalf("fully old lists: err %v, %d pairs, tested %v, %d comparisons",
+			err, none.Count(), tested, octx.Metrics().Comparisons())
+	}
+
+	// The charge precedes every test: a budget of 1 aborts with keep unseen.
+	tight := NewContext(2)
+	tight.CompBudget = 1
+	_, err = FromValues(tight, groups).SelfPairs("pairs", out, members, fresh,
+		func([]types.Value) bool { tested = true; return true })
+	if !errors.Is(err, ErrBudgetExceeded) || tested {
+		t.Fatalf("budget 1 over %d candidates: err = %v, tested = %v", want, err, tested)
+	}
+
+	// Cancelled mid-list: the element loop polls the job and stops. Of the
+	// list's five candidates only (11, 2) — the first a with a later key —
+	// is tested.
+	goctx, cancel := context.WithCancel(context.Background())
+	job := NewContext(1).Job(goctx)
+	calls := 0
+	FromValues(job, groups[:1]).SelfPairs("pairs", out, members, fresh, func([]types.Value) bool {
+		calls++
+		cancel()
+		return true
+	})
+	if job.Err() == nil || calls != 1 {
+		t.Fatalf("cancelled at the first pair: job err %v, %d pairs tested, want 1", job.Err(), calls)
 	}
 }
 

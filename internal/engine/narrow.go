@@ -105,21 +105,39 @@ func (d *Dataset) FlatMapW(name string, f func(types.Value) []types.Value, weigh
 // keep sees the candidate's fields — v's, then a, then b — in a buffer the
 // next candidate overwrites; it must not retain it.
 //
-// A list of n elements holds n(n−1)/2 candidate pairs. That is the record's
-// stage cost (the quadratic model of dedup:compare, so the worker owning a
-// popular block is the straggler) and its comparison charge; the whole
-// stage is charged through ChargeComparisons before a pair is tested, so a
-// job past its budget aborts with ErrBudgetExceeded as the joins do.
-func (d *Dataset) SelfPairs(name string, schema *types.Schema, members func(types.Value) []types.Value, keep func(fields []types.Value) bool) (*Dataset, error) {
+// fresh, when non-nil, is the delta mask: a test on an element's types.Key
+// that says the element is new since some earlier enumeration of the same
+// lists. Only candidate pairs with at least one fresh element are tested —
+// the rest is what that earlier enumeration already covered — in the order
+// the unmasked stage emits them; a list without a fresh element is skipped
+// whole. A nil fresh tests every candidate.
+//
+// A list of n elements, o of them not fresh, holds n(n−1)/2 − o(o−1)/2
+// candidate pairs. That is the record's stage cost (the quadratic model of
+// dedup:compare, so the worker owning a popular block is the straggler) and
+// its comparison charge; the whole stage is charged through
+// ChargeComparisons before a pair is tested, so a job past its budget aborts
+// with ErrBudgetExceeded as the joins do.
+func (d *Dataset) SelfPairs(name string, schema *types.Schema, members func(types.Value) []types.Value, fresh func(key string) bool, keep func(fields []types.Value) bool) (*Dataset, error) {
 	parts := d.rows()
 	lists := make([][][]types.Value, len(parts))
 	costs := make([]int64, len(parts))
 	d.ctx.runParallel(len(parts), func(i int) {
 		lists[i] = make([][]types.Value, len(parts[i]))
 		for j, v := range parts[i] {
-			lists[i][j] = members(v)
-			n := int64(len(lists[i][j]))
-			costs[i] += n * (n - 1) / 2
+			list := members(v)
+			n, old := int64(len(list)), int64(0)
+			if fresh != nil {
+				for _, el := range list {
+					if !fresh(types.Key(el)) {
+						old++
+					}
+				}
+			}
+			if old < n {
+				lists[i][j] = list
+				costs[i] += n*(n-1)/2 - old*(old-1)/2
+			}
 		}
 	})
 	if err := d.ctx.ChargeComparisons(sumCosts(costs)); err != nil {
@@ -128,11 +146,12 @@ func (d *Dataset) SelfPairs(name string, schema *types.Schema, members func(type
 	out := make([][]types.Value, len(parts))
 	d.ctx.runParallel(len(parts), func(i int) {
 		var (
-			res   []types.Value
-			keys  []string
-			order []int
-			rank  []int
-			buf   []types.Value
+			res       []types.Value
+			keys      []string
+			order     []int
+			rank      []int
+			onlyFresh []int
+			buf       []types.Value
 		)
 		for j, list := range lists[i] {
 			if len(list) < 2 {
@@ -143,6 +162,18 @@ func (d *Dataset) SelfPairs(name string, schema *types.Schema, members func(type
 				keys = append(keys, types.Key(el))
 			}
 			order, rank = rankKeys(keys, order, rank)
+			// onlyFresh is rank with the elements that are not fresh ranked
+			// below everything: an old a walks it, and so pairs with no old b.
+			if fresh == nil {
+				onlyFresh = rank
+			} else {
+				onlyFresh = append(onlyFresh[:0], rank...)
+				for k, key := range keys {
+					if !fresh(key) {
+						onlyFresh[k] = -1
+					}
+				}
+			}
 			buf = append(buf[:0], parts[i][j].Record().Fields...)
 			ai := len(buf)
 			buf = append(buf, types.Null(), types.Null())
@@ -151,8 +182,12 @@ func (d *Dataset) SelfPairs(name string, schema *types.Schema, members func(type
 					return // cancelled mid-list: the driver discards partial output
 				}
 				buf[ai] = ea
+				rb := rank
+				if onlyFresh[a] < 0 {
+					rb = onlyFresh
+				}
 				for b, eb := range list {
-					if rank[a] >= rank[b] {
+					if rank[a] >= rb[b] {
 						continue
 					}
 					buf[ai+1] = eb

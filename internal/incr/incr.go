@@ -1,9 +1,9 @@
-// Package incr holds the incremental-cleaning primitives: an epoch-stamped
-// materialized-view cache and the dedup delta detector. Together with
-// cleaning.DeltaDCPairs they let a re-executed query over append-only sources
-// run work proportional to the delta instead of the dataset — the cached
-// view answers for the unchanged base, and only pairs touching appended
-// tuples are enumerated.
+// Package incr is the incremental-cleaning view cache: an epoch-stamped LRU
+// of materialized results. It lets a re-executed query over append-only
+// sources run work proportional to the delta instead of the dataset — the
+// cached view answers for the unchanged base, and the core layer enumerates
+// only the pairs touching appended tuples (a DEDUP by executing its plan
+// under a fresh mask, a DENIAL through cleaning.DeltaDCPairs).
 //
 // The cache is deliberately dumb about what it stores (a type parameter):
 // the core layer caches *core.Result, the public DB wraps that, and tests

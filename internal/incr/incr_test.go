@@ -2,11 +2,7 @@ package incr
 
 import (
 	"fmt"
-	"strings"
 	"testing"
-
-	"cleandb/internal/engine"
-	"cleandb/internal/types"
 )
 
 func stamps(pairs ...int64) []Stamp {
@@ -100,175 +96,5 @@ func TestCacheDisabledAndNil(t *testing.T) {
 	off.Put("k", "v", stamps(1, 0))
 	if _, f := off.Lookup("k", stamps(1, 0)); f != Stale {
 		t.Fatal("zero-capacity cache stored an entry")
-	}
-}
-
-// dedupRow builds a {name, city} record.
-func dedupRow(name, city string) types.Value {
-	return types.NewRecord(types.NewSchema("name", "city"), []types.Value{
-		types.String(name), types.String(city),
-	})
-}
-
-// testDelta blocks on city, pairs rows whose names share a first letter.
-func testDelta() DedupDelta {
-	return DedupDelta{
-		BlockKeys: func(v types.Value) ([]string, error) {
-			return []string{v.Field("city").Str()}, nil
-		},
-		Pair: func(a, b types.Value) (bool, error) {
-			an, bn := a.Field("name").Str(), b.Field("name").Str()
-			return an[0] == bn[0], nil
-		},
-	}
-}
-
-// fullPairs is the brute-force oracle: every intra-block pair over all rows,
-// ordered by record key, identical records excluded, deduped across blocks.
-func fullPairs(t *testing.T, d DedupDelta, rows []types.Value) map[string]bool {
-	t.Helper()
-	blocks := map[string][]int{}
-	for i, v := range rows {
-		if d.Keep != nil && !d.Keep(v) {
-			continue
-		}
-		keys, err := d.BlockKeys(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keys {
-			blocks[k] = append(blocks[k], i)
-		}
-	}
-	out := map[string]bool{}
-	for _, members := range blocks {
-		for ai := 0; ai < len(members); ai++ {
-			for bi := ai + 1; bi < len(members); bi++ {
-				a, b := rows[members[ai]], rows[members[bi]]
-				ka, kb := types.Key(a), types.Key(b)
-				if ka == kb {
-					continue
-				}
-				if kb < ka {
-					a, b = b, a
-					ka, kb = kb, ka
-				}
-				ok, err := d.Pair(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok {
-					out[ka+"\x00"+kb] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// TestDedupDeltaReproducesFullPass: pairs(old rows only) ∪ delta pairs over
-// the appended suffix must equal the full pass over all rows, and the delta
-// must not report any old×old pair (those live in the cached view).
-func TestDedupDeltaReproducesFullPass(t *testing.T) {
-	rows := []types.Value{
-		dedupRow("alice", "nyc"),
-		dedupRow("aaron", "nyc"),
-		dedupRow("bob", "sf"),
-		dedupRow("bart", "sf"),
-		dedupRow("carol", "nyc"),
-		// appended delta
-		dedupRow("amber", "nyc"),
-		dedupRow("bella", "sf"),
-		dedupRow("alice", "nyc"), // identical to row 0: must be excluded
-	}
-	const baseRows = 5
-	d := testDelta()
-	ctx := engine.NewContext(2)
-	ds := engine.FromPartitions(ctx, [][]types.Value{rows})
-
-	delta, err := d.Pairs(ds, func(i int, _ types.Value) bool { return i >= baseRows })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Merge with set semantics, as core's dedupDeltaRows does: a fresh row
-	// value-identical to a base row (row 7 here) legitimately rediscovers
-	// base pairs, and the merge skips them.
-	got := fullPairs(t, d, rows[:baseRows]) // the "cached view"
-	for _, p := range delta {
-		if types.Key(p[0]) >= types.Key(p[1]) {
-			t.Fatalf("delta pair out of canonical order: %v", p)
-		}
-		got[types.Key(p[0])+"\x00"+types.Key(p[1])] = true
-	}
-	want := fullPairs(t, d, rows)
-	if len(got) != len(want) {
-		t.Fatalf("merged %d pairs, full pass has %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("merged set missing pair %s", strings.ReplaceAll(k, "\x00", " | "))
-		}
-	}
-	if n := ctx.Metrics().Comparisons(); n == 0 {
-		t.Fatal("delta pass charged no comparisons")
-	}
-
-	// No fresh rows: nothing to do, nothing charged.
-	before := ctx.Metrics().Comparisons()
-	none, err := d.Pairs(ds, func(int, types.Value) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none != nil {
-		t.Fatalf("no-fresh delta returned %d pairs", len(none))
-	}
-	if ctx.Metrics().Comparisons() != before {
-		t.Fatal("no-fresh delta charged comparisons")
-	}
-}
-
-// TestDedupDeltaSkipsFullyOldBlocks: a block untouched by fresh rows must
-// contribute zero charged comparisons.
-func TestDedupDeltaSkipsFullyOldBlocks(t *testing.T) {
-	rows := []types.Value{
-		dedupRow("alice", "nyc"), dedupRow("aaron", "nyc"), dedupRow("ada", "nyc"),
-		dedupRow("bob", "sf"),
-		// appended: touches only sf
-		dedupRow("bart", "sf"),
-	}
-	d := testDelta()
-	ctx := engine.NewContext(1)
-	ds := engine.FromPartitions(ctx, [][]types.Value{rows})
-	pairs, err := d.Pairs(ds, func(i int, _ types.Value) bool { return i >= 4 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 1 {
-		t.Fatalf("got %d pairs, want 1 (bart-bob)", len(pairs))
-	}
-	// Only the sf block is enumerated: bob×bart is the single candidate. The
-	// three nyc rows would contribute 3 more had the block not been skipped.
-	if n := ctx.Metrics().Comparisons(); n != 1 {
-		t.Fatalf("charged %d comparisons, want 1", n)
-	}
-}
-
-// TestDedupDeltaWhereFilter: rows failing Keep join no block on either side.
-func TestDedupDeltaWhereFilter(t *testing.T) {
-	rows := []types.Value{
-		dedupRow("alice", "nyc"),
-		dedupRow("amber", "skip"),
-		dedupRow("aaron", "nyc"),
-	}
-	d := testDelta()
-	d.Keep = func(v types.Value) bool { return v.Field("city").Str() != "skip" }
-	ctx := engine.NewContext(1)
-	ds := engine.FromPartitions(ctx, [][]types.Value{rows})
-	pairs, err := d.Pairs(ds, func(i int, _ types.Value) bool { return i >= 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 1 {
-		t.Fatalf("got %d pairs, want 1 (aaron-alice)", len(pairs))
 	}
 }

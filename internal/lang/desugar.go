@@ -25,35 +25,19 @@ type Task struct {
 	// pipeline can re-check and (with REPAIR) heal the violations after the
 	// detection plan has run.
 	Denial *DenialSpec
-	// Dedup carries the declarative structure of a DEDUP operator so the
-	// incremental layer can re-derive the pair set for appended tuples
-	// without re-running the grouping plan.
+	// Dedup names what a DEDUP operator reads and blocks with, so the
+	// incremental layer can decide whether an append to the source is
+	// answerable by a delta pass over the task's plan.
 	Dedup *DedupSpec
 }
 
-// DedupSpec is the analyzed form of a DEDUP operator: enough structure to
-// recompute, for any row of Source, its block keys, filter status and
-// similarity string exactly as the desugared comprehension does.
+// DedupSpec identifies a DEDUP operator's input and blocking.
 type DedupSpec struct {
-	// Source is the catalog name of the deduplicated table; Alias the FROM
-	// alias every expression below references.
-	Source, Alias string
-	// BlockAttr is the blocking-key attribute expression (the first DEDUP
-	// attribute).
-	BlockAttr monoid.Expr
+	// Source is the catalog name of the deduplicated table.
+	Source string
 	// BlockerFn names the generated blocking builtin; "" when blocking is
 	// exact on the attribute value (no builtin involved).
 	BlockerFn string
-	// Where are the WHERE conjuncts referencing only Alias — the filters the
-	// grouping comprehension applies before blocking.
-	Where []monoid.Expr
-	// SimExpr is the similarity-string expression (the concatenation of the
-	// DEDUP attributes, over Alias).
-	SimExpr monoid.Expr
-	// Metric and ThetaExpr carry the similarity configuration; ThetaExpr may
-	// reference query parameters.
-	Metric    string
-	ThetaExpr monoid.Expr
 }
 
 // DenialSpec is the analyzed form of a DENIAL(t2, pred) [REPAIR(attr)]
@@ -359,13 +343,7 @@ func (d *Desugarer) desugarDedup(q *Query, op CleaningOp, name string) (*Task, e
 		Comp:      comp,
 		EntityKey: substAlias(op.Attrs[0], alias, monoid.F(monoid.V(OutVar), "a")),
 		Blockers:  blockers,
-		Dedup: &DedupSpec{
-			Source: source, Alias: alias,
-			BlockAttr: blockKey, BlockerFn: blockerFn,
-			Where:   whereFor(q, alias),
-			SimExpr: simOf(monoid.V(alias)),
-			Metric:  metric, ThetaExpr: thetaExpr,
-		},
+		Dedup:     &DedupSpec{Source: source, BlockerFn: blockerFn},
 	}, nil
 }
 

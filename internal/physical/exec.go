@@ -76,6 +76,7 @@ type Executor struct {
 
 	compiler *monoid.Compiler
 	memo     map[algebra.Plan]*engine.Dataset
+	fresh    func(key string) bool
 }
 
 // NewExecutor returns an executor over the catalog with CleanDB defaults.
@@ -99,6 +100,15 @@ func (ex *Executor) AddBuiltin(name string, fn monoid.Builtin) {
 // prepared plan with different bindings never observe each other.
 func (ex *Executor) SetParams(params map[string]types.Value) {
 	ex.compiler.Params = params
+}
+
+// SetFreshMask makes this execution a delta pass: fresh tests a source
+// record's types.Key and holds for the records appended since the execution
+// whose cached output the caller merges this one's into. The self-pair stage
+// then enumerates only the pairs with a fresh member (engine.SelfPairs);
+// every other stage runs as in a cold execution.
+func (ex *Executor) SetFreshMask(fresh func(key string) bool) {
+	ex.fresh = fresh
 }
 
 // Exec executes the plan DAG, memoizing shared nodes. It checks the engine
@@ -303,7 +313,7 @@ func (ex *Executor) execSelfPairs(sp selfPairs) (*engine.Dataset, error) {
 	}
 	ex.Ctx.Metrics().NoteStrategy("pairs:self")
 	return child.SelfPairs("pairs:self", envSchema(sp.inner),
-		func(v types.Value) []types.Value { return evalEnv(path, v).List() }, keep)
+		func(v types.Value) []types.Value { return evalEnv(path, v).List() }, ex.fresh, keep)
 }
 
 func (ex *Executor) execExtend(n *algebra.Extend) (*engine.Dataset, error) {
@@ -669,13 +679,15 @@ func (ex *Executor) execJoin(n *algebra.Join) (*engine.Dataset, error) {
 	// Every branch notes its choice in the Metrics strategy ledger. The
 	// names here ("join:hash", "join:cartesian", "join:minmax",
 	// "join:mbucket", plus the "nest:*" family and "pairs:self" — the fused
-	// self-pair stage — above) share a namespace with
-	// the incremental passes recorded outside this package ("join:delta-band",
-	// "join:delta-scan" in cleaning, "dedup:delta-block" in incr). A
-	// delta-served re-execution is the same core execution with those passes
-	// producing the pair rows instead of the join run here — and their pair
-	// predicate is the one CompilePair above builds, bound to whole tuples —
-	// so the ledger shows which machinery actually ran.
+	// self-pair stage — above) share a namespace with the incremental DENIAL
+	// passes recorded outside this package ("join:delta-band",
+	// "join:delta-scan" in cleaning). A delta-served DENIAL is the same core
+	// execution with those passes producing the pair rows instead of the join
+	// run here — and their pair predicate is the one CompilePair above builds,
+	// bound to whole tuples — so the ledger shows which machinery actually
+	// ran. A delta-served DEDUP has no name of its own: it is this executor
+	// running the statement's plan under a fresh mask (SetFreshMask), and logs
+	// the "nest:*" and "pairs:self" a cold run logs.
 	strat := ex.Config.Theta
 	if ex.Config.Auto {
 		strat = ex.chooseTheta(left, right)

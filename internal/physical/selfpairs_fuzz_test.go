@@ -52,13 +52,18 @@ func fuzzMember(in *[]byte, depth int) types.Value {
 // element for element and in order, and charges one comparison per candidate
 // pair. The reference runs the two Unnests through the executor and applies
 // the whole Select predicate (order conjunct included) by hand, so it never
-// takes the fused path.
+// takes the fused path. Under a random fresh mask (shape bit 3) the fused
+// stage emits that output filtered to the pairs with a fresh member, and
+// charges only those candidates.
 func FuzzSelfPairsMatchesUnnest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0})
 	f.Add([]byte{1, 3, 1, 1, 1, 1, 1, 2})             // value-identical ints
 	f.Add([]byte{2, 4, 5, 1, 1, 1, 2, 5, 1, 1, 1, 2}) // two equal records
 	f.Add([]byte{6, 2, 0, 0, 4, 2, 0, 1, 1, 2, 3, 3, 1, 9, 7, 5, 5, 0, 0, 1, 2, 3})
+	f.Add([]byte{8, 1, 2, 5, 1, 0, 1, 1, 1, 2, 1, 3, 1, 1})           // masked: ints 1 and 3 fresh
+	f.Add([]byte{9, 0, 1, 3, 1, 1, 1, 1, 1, 2})                       // masked: nothing fresh
+	f.Add([]byte{14, 7, 2, 4, 2, 1, 2, 3, 1, 0, 2, 2, 3, 2, 5, 1, 1}) // masked: strings, two groups
 	f.Fuzz(func(t *testing.T, in []byte) {
 		take := func() byte {
 			if len(in) == 0 {
@@ -69,16 +74,33 @@ func FuzzSelfPairsMatchesUnnest(f *testing.F) {
 			return c
 		}
 		shape := take()
+		// The mask: a member is fresh when its key's byte sum falls in a
+		// residue class picked by the input.
+		var fresh func(key string) bool
+		if shape&8 != 0 {
+			pick := take()
+			fresh = func(key string) bool {
+				sum := 0
+				for i := 0; i < len(key); i++ {
+					sum += int(key[i])
+				}
+				return pick>>(sum%8)&1 == 1
+			}
+		}
 		groupSchema := types.NewSchema("key", "group")
 		var groups []types.Value
 		var candidates int64
 		for g := int(take() % 6); g > 0; g-- {
 			members := make([]types.Value, take()%6)
+			old := int64(0)
 			for i := range members {
 				members[i] = fuzzMember(&in, 2)
+				if fresh != nil && !fresh(types.Key(members[i])) {
+					old++
+				}
 			}
 			n := int64(len(members))
-			candidates += n * (n - 1) / 2
+			candidates += n*(n-1)/2 - old*(old-1)/2
 			groups = append(groups, types.NewRecord(groupSchema,
 				[]types.Value{types.Int(int64(len(groups) % 3)), types.ListOf(members)}))
 		}
@@ -116,12 +138,13 @@ func FuzzSelfPairsMatchesUnnest(f *testing.F) {
 			return NewExecutor(ctx, map[string]*engine.Dataset{"groups": engine.FromValues(ctx, groups)}), ctx
 		}
 		ex, ctx := newEx()
+		ex.SetFreshMask(fresh)
 		fused, err := ex.Exec(sel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := ctx.Metrics().Comparisons(); got != candidates {
-			t.Fatalf("Comparisons = %d, want Σ n(n−1)/2 = %d", got, candidates)
+			t.Fatalf("Comparisons = %d, want Σ n(n−1)/2 − old(old−1)/2 = %d", got, candidates)
 		}
 
 		ref, _ := newEx()
@@ -135,6 +158,9 @@ func FuzzSelfPairsMatchesUnnest(f *testing.F) {
 		}
 		var want []types.Value
 		for _, env := range envs.Collect() {
+			if fresh != nil && !fresh(types.Key(env.Field("a"))) && !fresh(types.Key(env.Field("b"))) {
+				continue
+			}
 			if evalEnv(whole, env).Bool() {
 				want = append(want, env)
 			}

@@ -77,6 +77,9 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 // returned Result carries metrics and repair summaries; the rows went to
 // the sink.
 func (s *Stmt) ExecuteTo(ctx context.Context, sk Sink, args ...any) (*Result, error) {
+	if sk == nil {
+		return nil, fmt.Errorf("cleandb: ExecuteTo needs a sink")
+	}
 	params, err := bindArgs(s.prep.Params(), args)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,12 @@
 // Incremental-cleaning benchmark: the cost of re-answering a cleaning query
 // after an append, served as a cached view plus a delta pass, against the
 // cold full re-clean over the same final data. No bench/ workload runs a
-// DEDUP delta, so this is where its speed is pinned: a DENIAL's delta is
-// cleaning.DeltaDCPairs, a DEDUP's is the statement's own plan under a fresh
-// mask — token filtering fans every row out into ~10 blocks through Nest,
-// attribute blocking into one. The delta enumerates only pairs touching
-// fresh tuples, so the speedup grows as the delta fraction shrinks.
+// DEDUP delta, so this is where its speed is pinned: a DENIAL's delta is the
+// engine's masked self-join (engine.MaskedSelfJoin), a DEDUP's is the
+// statement's own plan under a fresh mask — token filtering fans every row
+// out into ~10 blocks through Nest, attribute blocking into one. The delta
+// enumerates only pairs touching fresh tuples, so the speedup grows as the
+// delta fraction shrinks.
 package cleandb_test
 
 import (

@@ -91,6 +91,20 @@ var incrQueries = []struct {
 		source: "twins",
 	},
 	{
+		// The appended rows carry a null band value, a zero and negatives.
+		name:   "denial_null_band",
+		query:  `SELECT * FROM nulls t1 DENIAL(t2, t1.p > t2.p and t1.d < t2.d)`,
+		source: "nulls",
+		dc:     true,
+	},
+	{
+		// A string band: no row has a place in the numeric band order.
+		name:   "denial_string_band",
+		query:  `SELECT * FROM names t1 DENIAL(t2, t1.name < t2.name and t1.d > t2.d)`,
+		source: "names",
+		dc:     true,
+	},
+	{
 		name: "denial_detect",
 		query: `SELECT * FROM lineitem t1
 DENIAL(t2, t1.extendedprice < t2.extendedprice and t1.discount > t2.discount and t1.extendedprice < 9050)`,
@@ -118,6 +132,20 @@ func incrData() (custBase, custDelta, lineBase, lineDelta []Value) {
 	return customer[:cb], customer[cb:], lineitem[:lb], lineitem[lb:]
 }
 
+// bandIncrData returns the base and appended rows of the two DENIAL sources
+// whose band values the numeric order cannot place everywhere: nullTail,
+// whose last 42 rows are the delta, and 60 names, 10 of them appended.
+func bandIncrData() (nullBase, nullDelta, nameBase, nameDelta []Value) {
+	nulls := nullTail()
+	schema := NewSchema("id", "name", "d")
+	var names []Value
+	for i := 0; i < 60; i++ {
+		names = append(names, NewRecord(schema, []Value{
+			Int(int64(i)), String(fmt.Sprintf("n%03d", (37*i)%60)), Int(int64((7 * i) % 13))}))
+	}
+	return nulls[:200], nulls[200:], names[:50], names[50:]
+}
+
 // withTwins returns delta followed by copies — equal values, new records —
 // of the first two base rows and a copy of the third under a new custkey.
 func withTwins(base, delta []Value) []Value {
@@ -133,11 +161,13 @@ func withTwins(base, delta []Value) []Value {
 	return out
 }
 
-// registerIncr registers the three sources of incrQueries.
-func registerIncr(db *DB, customer, twins, lineitem []Value) {
+// registerIncr registers the five sources of incrQueries.
+func registerIncr(db *DB, customer, twins, lineitem, nulls, names []Value) {
 	db.RegisterRows("customer", customer)
 	db.RegisterRows("twins", twins)
 	db.RegisterRows("lineitem", lineitem)
+	db.RegisterRows("nulls", nulls)
+	db.RegisterRows("names", names)
 }
 
 func concat(a, b []Value) []Value { return append(append([]Value{}, a...), b...) }
@@ -218,15 +248,17 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 		{"sort_mbucket", physical.GroupSort, physical.ThetaMBucket},
 	}
 	custBase, custDelta, lineBase, lineDelta := incrData()
+	nullBase, nullDelta, nameBase, nameDelta := bandIncrData()
 	twinDelta := withTwins(custBase, custDelta)
 	for _, workers := range []int{1, 3, 8} {
 		for _, st := range strategies {
 			opts := []Option{WithWorkers(workers),
 				WithGroupStrategy(st.group), WithThetaStrategy(st.theta)}
 			inc := Open(append([]Option{WithViewCache(16)}, opts...)...)
-			registerIncr(inc, custBase, custBase, lineBase)
+			registerIncr(inc, custBase, custBase, lineBase, nullBase, nameBase)
 			cold := Open(opts...)
-			registerIncr(cold, concat(custBase, custDelta), concat(custBase, twinDelta), concat(lineBase, lineDelta))
+			registerIncr(cold, concat(custBase, custDelta), concat(custBase, twinDelta), concat(lineBase, lineDelta),
+				concat(nullBase, nullDelta), concat(nameBase, nameDelta))
 
 			for _, q := range incrQueries {
 				label := fmt.Sprintf("w%d/%s/%s", workers, st.name, q.name)
@@ -247,7 +279,8 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 				diffRows(t, label+"/exact", canonRows(again.Rows()), canonRows(first.Rows()))
 			}
 
-			for name, delta := range map[string][]Value{"customer": custDelta, "twins": twinDelta, "lineitem": lineDelta} {
+			for name, delta := range map[string][]Value{"customer": custDelta, "twins": twinDelta, "lineitem": lineDelta,
+				"nulls": nullDelta, "names": nameDelta} {
 				if err := inc.Append(name, delta); err != nil {
 					t.Fatalf("append %s: %v", name, err)
 				}
@@ -308,6 +341,11 @@ func TestIncrementalAppendEquivalence(t *testing.T) {
 					if q.repairs != "" && ws["join:delta-band"] == 0 {
 						t.Fatalf("%s: cold REPAIR ran no fixpoint re-check: %v", label, ws)
 					}
+					// The delta pass is a logged stage, charged like the join it
+					// stands in for, at the pairs with a fresh member.
+					if wt := want.Metrics().SimTicks; gm.SimTicks <= 0 || gm.SimTicks >= wt {
+						t.Fatalf("%s: delta SimTicks %d, cold %d", label, gm.SimTicks, wt)
+					}
 				}
 				if q.dc {
 					// The delta pass charges its candidate pairs to Comparisons;
@@ -349,13 +387,16 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestDeltaCancelledMidPassMergesMetricsOnce cancels a delta-served REPAIR
-// statement in the middle of its delta pass: the execution fails, and the
-// partial work reaches the instance accumulators exactly once — one delta
-// pass in the ledger, fewer comparisons than the whole pass charges.
+// statement in the middle of its delta pass, the masked self-join stage: the
+// execution fails after the stage's up-front charge, and the partial work
+// reaches the instance accumulators exactly once — one delta pass in the
+// ledger, the whole pass's comparisons, SimTicks short of the whole
+// execution's (no REPAIR ran).
 func TestDeltaCancelledMidPassMergesMetricsOnce(t *testing.T) {
 	_, _, lineBase, lineDelta := incrData()
 	q := incrQueries[len(incrQueries)-1].query
-	warm := func() *DB {
+	detect := incrQueries[len(incrQueries)-2].query // q without its REPAIR clause
+	warm := func(q string) *DB {
 		db := Open(WithWorkers(3), WithViewCache(4))
 		db.RegisterRows("lineitem", lineBase)
 		if _, err := db.Query(q); err != nil {
@@ -366,16 +407,27 @@ func TestDeltaCancelledMidPassMergesMetricsOnce(t *testing.T) {
 		}
 		return db
 	}
-	whole := warm()
-	before := whole.Metrics()
+	// The detect-only twin's delta is the pass alone: its comparisons are the
+	// pass's up-front charge, and cancelling halfway through its polls lands
+	// inside the pass.
+	twin := warm(detect)
+	before := twin.Metrics()
+	counter := &cancelAfter{Context: context.Background(), n: 1 << 60}
+	if res, err := twin.QueryContext(counter, detect); err != nil || res.ViewHit() != "delta" {
+		t.Fatalf("uncancelled detect-only delta: hit %q, err %v", res.ViewHit(), err)
+	}
+	charge := metricsGrowth(before, twin.Metrics()).Comparisons
+
+	whole := warm(q)
+	before = whole.Metrics()
 	if res, err := whole.Query(q); err != nil || res.ViewHit() != "delta" {
 		t.Fatalf("uncancelled delta: hit %q, err %v", res.ViewHit(), err)
 	}
 	full := metricsGrowth(before, whole.Metrics())
 
-	db := warm()
+	db := warm(q)
 	before = db.Metrics()
-	ctx := &cancelAfter{Context: context.Background(), n: int64(len(lineDelta) / 2)}
+	ctx := &cancelAfter{Context: context.Background(), n: counter.polls.Load() / 2}
 	if _, err := db.QueryContext(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled delta returned %v", err)
 	}
@@ -383,8 +435,8 @@ func TestDeltaCancelledMidPassMergesMetricsOnce(t *testing.T) {
 	if grew.Strategies["join:delta-band"] != 1 || len(grew.Strategies) != 1 {
 		t.Fatalf("cancelled delta pass in the ledger: %v, want one join:delta-band", grew.Strategies)
 	}
-	if grew.Comparisons <= 0 || grew.Comparisons >= full.Comparisons {
-		t.Fatalf("cancelled delta charged %d comparisons, the whole execution %d", grew.Comparisons, full.Comparisons)
+	if grew.Comparisons != charge || grew.SimTicks <= 0 || grew.SimTicks >= full.SimTicks {
+		t.Fatalf("cancelled delta grew %+v (pass charge %d), the whole execution %+v", grew, charge, full)
 	}
 }
 

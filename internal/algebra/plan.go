@@ -88,9 +88,7 @@ type Join struct {
 	RightKeys   []monoid.Expr
 	Theta       monoid.Expr
 	Outer       bool
-	// ThetaSortVar/ThetaPrune, when set by the physical planner, carry
-	// statistics hints for inequality joins (see physical package).
-	Residual monoid.Expr // extra predicate applied after the join
+	Residual    monoid.Expr // extra predicate applied after the join
 }
 
 // Binds implements Plan.

@@ -16,14 +16,24 @@ type DCConfig struct {
 	LeftFilter func(types.Value) bool
 	// Pred is the violation predicate over a candidate pair.
 	Pred func(t1, t2 types.Value) bool
-	// Band supplies the numeric attribute the theta join sorts and prunes
-	// on (e.g. price), and the pruning direction.
+	// Band supplies the band key the theta join sorts and prunes on (e.g.
+	// price): engine.BandKey of the band attribute, NaN for a row it cannot
+	// order.
 	Band func(types.Value) float64
 	// BandOp is the comparison between t1.Band and t2.Band implied by Pred
 	// ("<" means pairs with t1.band >= t2.band max cannot match).
 	BandOp string
 	// Strategy selects the join algorithm.
 	Strategy physical.ThetaStrategy
+}
+
+// JoinBand is the check's band in the engine's terms, the same attribute on
+// both sides of the self-join; nil without a Band.
+func (cfg DCConfig) JoinBand() *engine.Band {
+	if cfg.Band == nil {
+		return nil
+	}
+	return &engine.Band{Left: cfg.Band, Right: cfg.Band, Op: cfg.BandOp}
 }
 
 // DCCheck evaluates the denial constraint via a self theta join and returns
@@ -35,30 +45,5 @@ func DCCheck(ds *engine.Dataset, cfg DCConfig) (*engine.Dataset, error) {
 	if cfg.LeftFilter != nil {
 		left = ds.Filter("dc:filter", cfg.LeftFilter)
 	}
-	combine := engine.PairCombine
-	switch cfg.Strategy {
-	case physical.ThetaCartesian:
-		return left.CartesianFilter("dc", ds, cfg.Pred, combine)
-	case physical.ThetaMinMax:
-		overlap := func(lmin, lmax, rmin, rmax float64) bool {
-			switch cfg.BandOp {
-			case "<", "<=":
-				return lmin <= rmax
-			case ">", ">=":
-				return lmax >= rmin
-			default:
-				return true
-			}
-		}
-		return left.MinMaxBlockJoin("dc", ds, cfg.Band, cfg.Band, overlap, cfg.Pred, combine)
-	default:
-		stats := engine.ThetaJoinStats{SortKey: cfg.Band}
-		switch cfg.BandOp {
-		case "<", "<=":
-			stats.Prune = func(lmin, _, _, rmax float64) bool { return lmin > rmax }
-		case ">", ">=":
-			stats.Prune = func(_, lmax, rmin, _ float64) bool { return lmax < rmin }
-		}
-		return left.ThetaJoin("dc", ds, stats, cfg.Pred, combine)
-	}
+	return physical.ThetaJoin(cfg.Strategy, "dc", left, ds, cfg.JoinBand(), cfg.Pred, engine.PairCombine)
 }

@@ -1,6 +1,7 @@
 package cleaning
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -123,10 +124,7 @@ func RepairDCIn(tab *types.TupleTable, ds *engine.Dataset, cfg DCRepairConfig) (
 		}
 		var err error
 		if round == 1 {
-			var found [][2]types.Value
-			if found, err = violatingPairs(res.Repaired, cfg); err == nil {
-				pairs = rt.intern(found)
-			}
+			pairs, err = rt.violatingPairs(res.Repaired)
 		} else {
 			// A pair's violation status depends only on its members' values,
 			// so pairs untouched by the previous round's rewrites carry over
@@ -225,6 +223,19 @@ func (rt *repairTuples) intern(pairs [][2]types.Value) [][2]int32 {
 	return out
 }
 
+// internJoined is intern over a self-join's output: engine.PairCombine
+// records, {left: t1, right: t2}.
+func (rt *repairTuples) internJoined(ds *engine.Dataset) [][2]int32 {
+	rows := ds.Collect()
+	out := make([][2]int32, len(rows))
+	for i, r := range rows {
+		f := r.Record().Fields
+		out[i] = [2]int32{rt.tab.Intern(f[0]), rt.tab.Intern(f[1])}
+	}
+	rt.sync()
+	return out
+}
+
 // idSet is a set of tuple ids. Ids interned after the set was sized are not
 // members.
 type idSet []bool
@@ -299,31 +310,28 @@ func (rt *repairTuples) find(v types.Value, set idSet, p probe) (int32, bool) {
 	return id, ok && set.has(id)
 }
 
-// violatingPairs returns round 1's violations as (t1, t2) tuples.
-func violatingPairs(ds *engine.Dataset, cfg DCRepairConfig) ([][2]types.Value, error) {
-	if cfg.InitialPairs != nil {
-		return cfg.InitialPairs, nil
+// violatingPairs returns round 1's violations: the seeded InitialPairs, or
+// a DCCheck's.
+func (rt *repairTuples) violatingPairs(ds *engine.Dataset) ([][2]int32, error) {
+	if rt.cfg.InitialPairs != nil {
+		return rt.intern(rt.cfg.InitialPairs), nil
 	}
-	found, err := DCCheck(ds, cfg.Check)
+	found, err := DCCheck(ds, rt.cfg.Check)
 	if err != nil {
 		return nil, err
 	}
-	rows := found.Collect()
-	out := make([][2]types.Value, len(rows))
-	for i, r := range rows {
-		out[i] = [2]types.Value{r.Field("left"), r.Field("right")}
-	}
-	return out, nil
+	return rt.internJoined(found), nil
 }
 
 // recheckPairs computes the next round's violating pairs from the previous
 // round's: pairs whose members were both untouched by the round's rewrites
 // keep their violation status, so only pairs involving a rewritten row
 // (touched: the rewritten rows' new tuples) are freshly enumerated against the
-// whole dataset. dirty holds both the old and new tuples of rewritten rows;
-// the apply step rewrites every instance of an old tuple, so a previous pair
-// with neither member dirty is guaranteed to pair two unchanged rows. prev is
-// filtered in place.
+// whole dataset — the check's own self-join under the touched-tuples mask.
+// dirty holds both the old and new tuples of rewritten rows; the apply step
+// rewrites every instance of an old tuple, so a previous pair with neither
+// member dirty is guaranteed to pair two unchanged rows. prev is filtered in
+// place.
 func recheckPairs(ds *engine.Dataset, prev [][2]int32, dirty, touched idSet, rt *repairTuples) ([][2]int32, error) {
 	carried := prev[:0]
 	for _, p := range prev {
@@ -332,14 +340,15 @@ func recheckPairs(ds *engine.Dataset, prev [][2]int32, dirty, touched idSet, rt 
 		}
 	}
 	p := rt.probeOf(touched.ids())
-	fresh, err := DeltaDCPairs(ds, func(_ int, v types.Value) bool {
+	check := rt.cfg.Check
+	fresh, err := ds.MaskedSelfJoin("join", func(_ int, v types.Value) bool {
 		_, ok := rt.find(v, touched, p)
 		return ok
-	}, rt.cfg.Check)
+	}, check.LeftFilter, check.JoinBand(), check.Pred, engine.PairCombine)
 	if err != nil {
 		return nil, err
 	}
-	return append(carried, rt.intern(fresh)...), nil
+	return append(carried, rt.internJoined(fresh)...), nil
 }
 
 // repairRound clusters the violating pairs, solves every cluster in parallel
@@ -491,6 +500,8 @@ func displacement(members []int32, rt *repairTuples, fits []float64) float64 {
 
 // orderedIdx returns member indices sorted so the t1 role (the side the
 // band predicate puts first) comes first, ties broken by canonical key.
+// Band keys compare in cmp.Compare's order, so the unordered (NaN) ones sort
+// together, below every number, instead of breaking the sort.
 func orderedIdx(members []int32, rt *repairTuples) []int {
 	idx := make([]int, len(members))
 	for i := range idx {
@@ -498,8 +509,8 @@ func orderedIdx(members []int32, rt *repairTuples) []int {
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		ma, mb := members[idx[a]], members[idx[b]]
-		if oa, ob := rt.band[ma], rt.band[mb]; oa != ob {
-			return oa < ob
+		if c := cmp.Compare(rt.band[ma], rt.band[mb]); c != 0 {
+			return c < 0
 		}
 		return rt.tab.Key(ma) < rt.tab.Key(mb)
 	})

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"cleandb/internal/cleaning"
 	"cleandb/internal/cluster"
 	"cleandb/internal/engine"
 	"cleandb/internal/lang"
@@ -22,8 +21,10 @@ import (
 // from a cold execution: executeWith (pipeline.go) is the one tail — REPAIR,
 // metrics, stats, export. A DEDUP's delta pass is the statement's own plan,
 // executed with the appended rows as the fresh mask of its self-pair stage;
-// a DENIAL's is cleaning.DeltaDCPairs under compileDenial (repair.go), the
-// one reading of a DENIAL it shares with the REPAIR fixpoint. What is
+// a DENIAL's is the engine's masked self-join (engine.MaskedSelfJoin) under
+// the appended-rows mask, configured by compileDenial (repair.go) — the one
+// reading of a DENIAL it shares with the REPAIR fixpoint, whose re-check is
+// the same stage under the touched-tuples mask. What is
 // delta-specific here is eligibility, DEDUP's repeat filter and the
 // sorted-run merge. The outcome is bit-identical (rows, task rows, repair
 // summaries) to a cold full re-clean.
@@ -160,15 +161,13 @@ func (pr *Prepared) deltaPairRows(ex *physical.Executor, tab *types.TupleTable, 
 		if err != nil {
 			return nil, pairKeys{}, err
 		}
-		freshAt := func(i int, _ types.Value) bool { return i >= base.BaseRows }
-		pairs, err := cleaning.DeltaDCPairs(ds, freshAt, cfg)
+		appended := func(i int, _ types.Value) bool { return i >= base.BaseRows }
+		pairs, err := ds.MaskedSelfJoin("join", appended, cfg.LeftFilter, cfg.JoinBand(), cfg.Pred,
+			func(t1, t2 types.Value) types.Value { return types.NewRecord(pairSchema, []types.Value{t1, t2}) })
 		if err != nil {
 			return nil, pairKeys{}, err
 		}
-		fresh = make([]types.Value, len(pairs))
-		for i, p := range pairs {
-			fresh[i] = types.NewRecord(pairSchema, []types.Value{p[0], p[1]})
-		}
+		fresh = pairs.Collect()
 	} else {
 		// Group members are the scanned records, which a columnar WHERE
 		// re-boxes, so a fresh row is recognised by value: an old row equal to

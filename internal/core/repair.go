@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cleandb/internal/algebra"
 	"cleandb/internal/cleaning"
@@ -62,7 +63,7 @@ func (pr *Prepared) runRepair(ex *physical.Executor, tab *types.TupleTable, t *l
 		// ran through the full comprehension→algebra→physical stack (or, for
 		// a delta-served execution, the cached view plus a delta pass); the
 		// fixpoint's re-checks enumerate only pairs touching rewritten tuples,
-		// through DeltaDCPairs.
+		// through the engine's masked self-join.
 		if seed == nil {
 			d, err := ex.Exec(plan)
 			if err != nil {
@@ -94,14 +95,15 @@ func (pr *Prepared) runRepair(ex *physical.Executor, tab *types.TupleTable, t *l
 
 // compileDenial is the one reading of a DENIAL that both incremental
 // detectors execute: it turns the analyzed constraint into the cleaning
-// layer's check configuration, consumed by the append delta (DeltaDCPairs)
-// and by the REPAIR fixpoint (RepairDCIn) alike. Pred is compiled by the same
-// specialized pair compiler the cold theta join uses, with the two aliases
-// bound to the tuples themselves. The band is the first same-attribute cross
-// inequality that is not on the REPAIR column (that conjunct is the one being
-// relaxed, so tuples cannot be ordered on it). It is only a pruning aid — any
-// conjunct is a sound necessary condition — so a constraint without one still
-// checks, just unpruned.
+// layer's check configuration, consumed by the append delta (the engine's
+// masked self-join) and by the REPAIR fixpoint (RepairDCIn) alike. Pred is
+// compiled by the same specialized pair compiler the cold theta join uses,
+// with the two aliases bound to the tuples themselves. The band is the first
+// same-attribute cross inequality that is not on the REPAIR column (that
+// conjunct is the one being relaxed, so tuples cannot be ordered on it), read
+// as an engine.BandKey. It is only a pruning aid — any conjunct is a sound
+// necessary condition — so a constraint without one still checks, just
+// unpruned.
 func compileDenial(spec *lang.DenialSpec, theta physical.ThetaStrategy, params map[string]types.Value) (cleaning.DCConfig, error) {
 	cfg := cleaning.DCConfig{Strategy: theta}
 	comp := monoid.NewCompiler()
@@ -138,9 +140,9 @@ func compileDenial(spec *lang.DenialSpec, theta physical.ThetaStrategy, params m
 		cfg.Band = func(v types.Value) float64 {
 			out, err := bandCE([]types.Value{v})
 			if err != nil {
-				return 0
+				return math.NaN() // unordered: a candidate for every partner
 			}
-			return out.Float()
+			return engine.BandKey(out)
 		}
 		cfg.BandOp = op
 		break

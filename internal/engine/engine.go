@@ -351,18 +351,13 @@ func (m *Metrics) logStage(s StageStats) {
 	m.shuffledBytes.Add(s.ShuffledBytes)
 }
 
-// budgetLeft reports whether the job may still perform comparisons.
-func (c *Context) budgetLeft() bool {
-	return c.CompBudget <= 0 || c.metrics.comparisons.Load() < c.CompBudget
-}
-
 // ChargeComparisons charges n candidate-pair evaluations to the job's
-// metrics under the same budget discipline the join operators enforce: when
-// the charge would overrun CompBudget the counter saturates at the budget
-// and ErrBudgetExceeded is reported. Code that enumerates candidate pairs
-// outside the join operators (the incremental delta detectors) charges
-// through this so budgets and metrics see delta work exactly like a full
-// pass.
+// metrics under the comparison budget: when the charge would overrun
+// CompBudget the counter saturates at the budget and ErrBudgetExceeded is
+// reported. Every pair stage — the theta joins, their masked variant and
+// the self-pair stage — charges its whole candidate count through this
+// before testing one, so budgets and metrics see delta work exactly like a
+// full pass.
 func (c *Context) ChargeComparisons(n int64) error {
 	if b := c.CompBudget; b > 0 && c.metrics.comparisons.Load()+n > b {
 		chargeBudgetOverflow(&c.metrics, b)

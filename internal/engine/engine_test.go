@@ -389,8 +389,7 @@ func TestBudgetGuardClampsOverspentCounter(t *testing.T) {
 			return err
 		}},
 		{"minmax", func(_ *Context, l, r *Dataset) error {
-			_, err := l.MinMaxBlockJoin("m", r, attr, attr,
-				func(_, _, _, _ float64) bool { return true }, anyPred, PairCombine)
+			_, err := l.MinMaxBlockJoin("m", r, &Band{Left: attr, Right: attr, Op: "<"}, anyPred, PairCombine)
 			return err
 		}},
 	}
@@ -466,8 +465,7 @@ func TestMinMaxBlockJoinMatchesReference(t *testing.T) {
 	pred := func(a, b types.Value) bool { return a.Field("v").Int() < b.Field("v").Int() }
 	ctx := NewContext(4)
 	attr := func(v types.Value) float64 { return float64(v.Field("v").Int()) }
-	got, err := FromValues(ctx, l).MinMaxBlockJoin("m", FromValues(ctx, r), attr, attr,
-		func(lmin, lmax, rmin, rmax float64) bool { return lmin <= rmax },
+	got, err := FromValues(ctx, l).MinMaxBlockJoin("m", FromValues(ctx, r), &Band{Left: attr, Right: attr, Op: "<"},
 		pred, PairCombine)
 	if err != nil {
 		t.Fatal(err)

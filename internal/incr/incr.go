@@ -3,7 +3,7 @@
 // sources run work proportional to the delta instead of the dataset — the
 // cached view answers for the unchanged base, and the core layer enumerates
 // only the pairs touching appended tuples (a DEDUP by executing its plan
-// under a fresh mask, a DENIAL through cleaning.DeltaDCPairs).
+// under a fresh mask, a DENIAL through the engine's masked self-join).
 //
 // The cache is deliberately dumb about what it stores (a type parameter):
 // the core layer caches *core.Result, the public DB wraps that, and tests

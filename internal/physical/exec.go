@@ -57,6 +57,35 @@ const (
 	ThetaMinMax
 )
 
+// String names the strategy in the strategy ledger: "mbucket",
+// "cartesian" or "minmax".
+func (s ThetaStrategy) String() string {
+	switch s {
+	case ThetaCartesian:
+		return "cartesian"
+	case ThetaMinMax:
+		return "minmax"
+	}
+	return "mbucket"
+}
+
+// ThetaJoin runs the theta join of left and right under strategy s: the one
+// place a ThetaStrategy becomes an engine join, for the plan executor and
+// cleaning.DCCheck alike. band, when non-nil, is a band conjunct of pred;
+// every strategy keeps exactly the pairs pred accepts, and the band decides
+// only how many candidates each one tests. Stages are named name+":cartesian",
+// ":minmaxjoin" or ":thetajoin".
+func ThetaJoin(s ThetaStrategy, name string, left, right *engine.Dataset, band *engine.Band, pred func(l, r types.Value) bool, combine engine.CombineFunc) (*engine.Dataset, error) {
+	switch s {
+	case ThetaCartesian:
+		return left.CartesianFilter(name, right, pred, combine)
+	case ThetaMinMax:
+		return left.MinMaxBlockJoin(name, right, band, pred, combine)
+	default:
+		return left.ThetaJoin(name, right, engine.ThetaJoinStats{Band: band}, pred, combine)
+	}
+}
+
 // Config selects the physical strategies for one executor.
 type Config struct {
 	Group GroupStrategy
@@ -679,59 +708,33 @@ func (ex *Executor) execJoin(n *algebra.Join) (*engine.Dataset, error) {
 	// Every branch notes its choice in the Metrics strategy ledger. The
 	// names here ("join:hash", "join:cartesian", "join:minmax",
 	// "join:mbucket", plus the "nest:*" family and "pairs:self" — the fused
-	// self-pair stage — above) share a namespace with the incremental DENIAL
-	// passes recorded outside this package ("join:delta-band",
-	// "join:delta-scan" in cleaning). A delta-served DENIAL is the same core
-	// execution with those passes producing the pair rows instead of the join
-	// run here — and their pair predicate is the one CompilePair above builds,
-	// bound to whole tuples — so the ledger shows which machinery actually
-	// ran. A delta-served DEDUP has no name of its own: it is this executor
-	// running the statement's plan under a fresh mask (SetFreshMask), and logs
-	// the "nest:*" and "pairs:self" a cold run logs.
+	// self-pair stage — above) share a namespace with the masked DENIAL
+	// stage the engine notes itself ("join:delta-band", "join:delta-scan":
+	// engine.MaskedSelfJoin, run by the append delta in core and the REPAIR
+	// re-check in cleaning). A delta-served DENIAL is the same core execution
+	// with that stage producing the pair rows instead of the join run here —
+	// its pair predicate is the one CompilePair above builds, bound to whole
+	// tuples, and it prunes by the same engine band rule — so the ledger
+	// shows which machinery actually ran. A delta-served DEDUP has no name of
+	// its own: it is this executor running the statement's plan under a fresh
+	// mask (SetFreshMask), and logs the "nest:*" and "pairs:self" a cold run
+	// logs.
 	strat := ex.Config.Theta
 	if ex.Config.Auto {
 		strat = ex.chooseTheta(left, right)
 	}
-	switch strat {
-	case ThetaCartesian:
-		ex.Ctx.Metrics().NoteStrategy("join:cartesian")
-		return left.CartesianFilter("join", right, pred, combine)
-	case ThetaMinMax:
-		lAttr, rAttr, prune := ex.deriveBand(n)
-		if lAttr == nil || rAttr == nil {
-			zero := func(types.Value) float64 { return 0 }
-			lAttr, rAttr = zero, zero
-		}
-		overlap := func(lmin, lmax, rmin, rmax float64) bool {
-			// Block pair survives unless provably impossible under the band
-			// predicate; with arrival-order blocks this rarely prunes.
-			if prune == nil {
-				return true
-			}
-			return !prune(lmin, lmax, rmin, rmax)
-		}
-		ex.Ctx.Metrics().NoteStrategy("join:minmax")
-		return left.MinMaxBlockJoin("join", right, lAttr, rAttr, overlap, pred, combine)
-	default:
-		ex.Ctx.Metrics().NoteStrategy("join:mbucket")
-		lAttr, rAttr, prune := ex.deriveBand(n)
-		stats := engine.ThetaJoinStats{}
-		if lAttr != nil {
-			stats.SortKey = lAttr
-			_ = rAttr // both sides sorted on their own attribute
-			stats.Prune = prune
-		}
-		return left.ThetaJoin("join", right, stats, pred, combine)
-	}
+	ex.Ctx.Metrics().NoteStrategy("join:" + strat.String())
+	return ThetaJoin(strat, "join", left, right, ex.deriveBand(n), pred, combine)
 }
 
-// deriveBand inspects the theta predicate for a band conjunct of the form
-// left.field OP right.field (OP inequality) and derives per-side numeric
-// sort keys plus a bucket-pair pruning rule — the statistics CleanDB's theta
-// join exploits (paper §6).
-func (ex *Executor) deriveBand(n *algebra.Join) (lAttr, rAttr func(types.Value) float64, prune func(lmin, lmax, rmin, rmax float64) bool) {
+// deriveBand inspects the theta predicate for a band conjunct — the first
+// left OP right inequality (OP one of < <= > >=) whose operands each read
+// one side only — and returns it with each operand compiled against its own
+// side: the statistics CleanDB's theta join exploits (paper §6). nil when
+// there is none.
+func (ex *Executor) deriveBand(n *algebra.Join) *engine.Band {
 	if n.Theta == nil {
-		return nil, nil, nil
+		return nil
 	}
 	for _, c := range monoid.Conjuncts(n.Theta) {
 		lExpr, rExpr, op, ok := monoid.CrossInequality(c, n.Left.Binds(), n.Right.Binds())
@@ -743,17 +746,13 @@ func (ex *Executor) deriveBand(n *algebra.Join) (lAttr, rAttr func(types.Value) 
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		lAttr = func(v types.Value) float64 { return evalEnv(lc, v).Float() }
-		rAttr = func(v types.Value) float64 { return evalEnv(rc, v).Float() }
-		switch op {
-		case "<", "<=":
-			prune = func(lmin, _, _, rmax float64) bool { return lmin > rmax }
-		default: // ">", ">="
-			prune = func(_, lmax, rmin, _ float64) bool { return lmax < rmin }
+		return &engine.Band{
+			Left:  func(v types.Value) float64 { return engine.BandKey(evalEnv(lc, v)) },
+			Right: func(v types.Value) float64 { return engine.BandKey(evalEnv(rc, v)) },
+			Op:    op,
 		}
-		return lAttr, rAttr, prune
 	}
-	return nil, nil, nil
+	return nil
 }
 
 func (ex *Executor) compileKeys(keys []monoid.Expr, child algebra.Plan) (engine.KeyFunc, error) {
